@@ -24,7 +24,7 @@ Compares a freshly produced benchmark payload (``bench_pipeline.py
   baselines committed before it existed still self-check;
 * a ``measurement`` section is present (full-mode payloads only) whose
   supervised corpus diverged from the serial oracle, or whose
-  supervised speedup fell below 1.0 — smoke payloads carry no
+  supervised speedup fell below 1.5 — smoke payloads carry no
   measurement section and skip this check.
 
 Independently, ``--bias-report PATH`` gates a committed (or freshly
@@ -60,6 +60,9 @@ DEFAULT_MAX_REGRESSION = 0.20
 DEFAULT_MIN_SPEEDUP = 1.0
 #: Floor for the columnar path on the full unpaced 1000-CO workload.
 DEFAULT_MIN_COLUMNAR_SPEEDUP = 3.0
+#: Floor for supervised workers against serial on the paced workload;
+#: committed payloads measured 1.76-1.97x at workers=4.
+MIN_SUPERVISED_SPEEDUP = 1.5
 
 
 def _validate_manifest(manifest: object, label: str) -> "list[str]":
@@ -159,11 +162,11 @@ def evaluate(
                 "serial oracle in the measurement section"
             )
         sup_speedup = measurement.get("speedup")
-        if not isinstance(sup_speedup, (int, float)) or sup_speedup < 1.0:
+        if not isinstance(sup_speedup, (int, float)) or sup_speedup < MIN_SUPERVISED_SPEEDUP:
             failures.append(
                 f"supervised measurement speedup {sup_speedup!r} fell "
-                "below the 1.0x floor (workers must beat serial on the "
-                "paced workload)"
+                f"below the {MIN_SUPERVISED_SPEEDUP:.1f}x floor (workers must "
+                "beat serial on the paced workload)"
             )
     return failures
 

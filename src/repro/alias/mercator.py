@@ -36,7 +36,7 @@ class MercatorProber:
         (including when the target does not answer).
         """
         source = src_address or (
-            str(src.interfaces[0].address) if src.interfaces else "0.0.0.0"
+            src.interfaces[0].text if src.interfaces else "0.0.0.0"
         )
         target = str(parse_ip(target_address))
         owner = self.network.owner_router(target)
@@ -65,7 +65,7 @@ class MercatorProber:
         except RoutingError:
             return None
         inbound = self.network.inbound_interfaces(path)
-        reply_source = str(owner.reply_address(inbound[-1], target))
+        reply_source = owner.reply_text(inbound[-1], target)
         if reply_source != target:
             return (target, reply_source)
         return None

@@ -44,7 +44,7 @@ class MidarProber:
         Unresponsive addresses get empty sample lists.
         """
         source = src_address or (
-            str(src.interfaces[0].address) if src.interfaces else "0.0.0.0"
+            src.interfaces[0].text if src.interfaces else "0.0.0.0"
         )
         series: "dict[str, list[tuple[int, int]]]" = {
             str(parse_ip(a)): [] for a in addresses

@@ -51,7 +51,7 @@ class Pinger:
              src_address: "str | None" = None) -> PingResult:
         """Direct echo probes to *dst_address*."""
         source = src_address or (
-            str(src.interfaces[0].address) if src.interfaces else "0.0.0.0"
+            src.interfaces[0].text if src.interfaces else "0.0.0.0"
         )
         dst = str(parse_ip(dst_address))
         dst_router, exists = self.network.route_target(dst)
@@ -79,7 +79,7 @@ class Pinger:
         TTL-expiry replies ignore ``echo_internal_only`` filtering.
         """
         source = src_address or (
-            str(src.interfaces[0].address) if src.interfaces else "0.0.0.0"
+            src.interfaces[0].text if src.interfaces else "0.0.0.0"
         )
         dst = str(parse_ip(dst_address))
         dst_router, _exists = self.network.route_target(dst)

@@ -252,7 +252,7 @@ class CampaignRunner:
             self.tracer.publish_metrics(self.metrics)
             if self.injector is not None:
                 self.injector.stats.publish_metrics(self.metrics)
-            self.metrics.set_gauge("campaign.fleet_alive", len(self.fleet.alive()))
+            self.metrics.set_gauge("campaign.fleet_alive", self.fleet.alive_count())
 
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         """One actual traceroute — the seam execution strategies override.
@@ -401,7 +401,7 @@ class CampaignRunner:
                 executor = self.fleet.stand_in(job_key) if self.failover else None
                 if executor is not None:
                     self.health.targets_reassigned += 1
-            if executor is None or len(self.fleet.alive()) < self.min_vps:
+            if executor is None or self.fleet.alive_count() < self.min_vps:
                 self.health.targets_skipped += 1
                 self.health.degraded = True
                 done.add(job_key)

@@ -18,19 +18,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from repro.net.addresses import parse_ip
 from repro.net.network import Network
-from repro.net.router import Router, _stable_hash
+from repro.net.router import Router, _extend_hash, _hash_prefix, _stable_hash
 from repro.perf.cache import normalize_address
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One traceroute hop: address (None for ``*``), rdns, rtt, reply TTL.
 
     ``attempts`` records how many probes this TTL consumed before a
-    reply arrived (or before the prober gave up, for ``*`` hops).
+    reply arrived (or before the prober gave up, for ``*`` hops).  An
+    immutable named tuple: campaigns build one per probed TTL, so
+    construction cost and size matter.
     """
 
     index: int
@@ -135,6 +137,9 @@ class Tracerouter:
         self.probes_retried = 0
         #: Simulated time spent waiting between retries.
         self.backoff_ms_total = 0.0
+        #: Probe source text -> parsed address, for source-filtering
+        #: reply policies; a campaign has one entry per vantage point.
+        self._sources: "dict[str, object]" = {}
 
     def counters(self) -> "dict[str, float]":
         """Snapshot of the campaign-cost counters."""
@@ -157,9 +162,19 @@ class Tracerouter:
         for name, value in self.counters().items():
             metrics.set_gauge(f"{prefix}{name}", value)
 
-    def _rtt(self, one_way_ms: float, probe_key: object) -> float:
-        """Round-trip time with deterministic per-probe jitter."""
-        jitter = (_stable_hash("rtt", probe_key) % 1000) / 1000.0 * self.jitter_ms
+    def _rtt(self, one_way_ms: float, probe_key: object, head=None) -> float:
+        """Round-trip time with deterministic per-probe jitter.
+
+        The jitter hashes ``"rtt|<probe_key>"``.  For a first-attempt
+        key ``(src, dst, flow, ttl)`` the caller may pass *head*, a hash
+        state that has absorbed ``"rtt|(src, dst, flow, "``; only
+        ``"ttl)"`` is hashed here.
+        """
+        if head is not None:
+            draw = _extend_hash(head, f"{probe_key[-1]})")
+        else:
+            draw = _stable_hash("rtt", probe_key)
+        jitter = (draw % 1000) / 1000.0 * self.jitter_ms
         return 2.0 * one_way_ms + 0.1 + jitter
 
     def trace(
@@ -169,108 +184,102 @@ class Tracerouter:
         flow_id: int = 0,
         src_address: "str | None" = None,
     ) -> TraceResult:
-        """Run one traceroute from *src* toward *dst_address*."""
+        """Run one traceroute from *src* toward *dst_address*.
+
+        Work is done at the coarsest level where it is fixed: link and
+        address tables once per topology (``Network``), the hop plan and
+        hash prefixes once per trace, and per probe only the fault
+        hooks, the reply-policy decision, the RTT hash suffix and the
+        rDNS dig.
+        """
         if self.pace_ms > 0.0:
             time.sleep(self.pace_ms / 1000.0)
         self.traces_run += 1
-        faults = self.network.faults
+        network = self.network
+        faults = network.faults
         source_addr = src_address or (
-            str(src.interfaces[0].address) if src.interfaces else "0.0.0.0"
+            src.interfaces[0].text if src.interfaces else "0.0.0.0"
         )
-        result = TraceResult(source_addr, normalize_address(dst_address), hops=[], flow_id=flow_id)
-        dst_router, dst_exists = self.network.route_target(dst_address)
+        dst_text = normalize_address(dst_address)
+        result = TraceResult(source_addr, dst_text, hops=[], flow_id=flow_id)
+        dst_router, dst_exists = network.route_target(dst_address)
         if dst_router is None:
             return result
 
         # Paris-traceroute semantics: the flow key (source, flow id) is
         # constant for the whole trace, so ECMP cannot corrupt it, while
         # different VPs and flow ids explore different equal-cost paths.
-        flow_key = f"{source_addr}|{flow_id}"
-        path = self.network.forwarding_path(src, dst_router, flow_id=flow_key)
-        inbound = self.network.inbound_interfaces(path)
-        inbound_of = {router.uid: iface for router, iface in zip(path, inbound)}
-        delays = self.network.path_delays_ms(path)
-        one_way = {router.uid: delay for router, delay in zip(path, delays)}
+        path = network.forwarding_path(
+            src, dst_router, flow_id=f"{source_addr}|{flow_id}"
+        )
         down = (
             faults.down_tunnels(
-                self.network.mpls.tunnels,
-                (source_addr, result.dst_address, flow_id),
+                network.mpls.tunnels, (source_addr, dst_text, flow_id)
             )
             if faults is not None
             else frozenset()
         )
-        visible = self.network.mpls.visible_path(path, dst_router, down=down)
-
-        hop_index = 0
-        for router in visible[1:]:  # skip the source itself
+        plan = network.hop_plan(path, dst_router, down=down)
+        if len(plan) > self.max_ttl:
+            del plan[self.max_ttl:]
+        probe_source = self._sources.get(source_addr)
+        if probe_source is None:
+            probe_source = self._sources[source_addr] = parse_ip(source_addr)
+        # Every first-attempt RTT key is (source, dst, flow, ttl): absorb
+        # the text of "rtt|(source, dst, flow, " once, add "ttl)" per hop.
+        rtt_head = _hash_prefix(
+            "rtt|" + str((source_addr, dst_address, flow_id))[:-1] + ", "
+        )
+        dig = network.rdns.dig
+        hops = result.hops
+        sent = lost = refused = 0
+        for hop_index, (router, inbound, one_way_ms) in enumerate(plan, 1):
             is_final = router is dst_router
-            hop_index += 1
-            if hop_index > self.max_ttl:
-                break
             base_key = (source_addr, dst_address, flow_id, hop_index)
-            result.hops.append(
-                self._probe_hop(
-                    router, is_final, dst_exists, dst_address,
-                    inbound_of.get(router.uid), one_way[router.uid],
-                    source_addr, base_key, faults,
+            hop = None
+            for attempt in range(self.attempts):
+                # Attempt 0 keeps the historical probe identity so the
+                # retry-free configuration reproduces the seed exactly.
+                probe_key = base_key if attempt == 0 else (*base_key, f"a{attempt}")
+                sent += 1
+                if attempt:
+                    self.backoff_ms_total += self.backoff_ms * (2 ** (attempt - 1))
+                if faults is not None and faults.probe_lost(probe_key):
+                    lost += 1
+                    continue
+                if is_final:
+                    if not (dst_exists and router.probe_response(
+                        probe_source, probe_key, echo=True, faults=faults
+                    )):
+                        refused += 1
+                        continue
+                    reply_addr = dst_text
+                else:
+                    if not router.probe_response(
+                        probe_source, probe_key, faults=faults
+                    ):
+                        refused += 1
+                        continue
+                    reply_addr = router.reply_text(inbound, dst_address)
+                hop = Hop(
+                    hop_index,
+                    reply_addr,
+                    dig(reply_addr, fault_key=probe_key),
+                    round(self._rtt(one_way_ms, probe_key, None if attempt else rtt_head), 3),
+                    router.policy.initial_ttl - (hop_index - 1),
+                    attempt + 1,
                 )
-            )
-            if is_final and result.hops[-1].responded:
+                break
+            if hop is None:
+                hop = Hop(hop_index, None, attempts=self.attempts)
+            elif is_final:
                 result.completed = True
+            hops.append(hop)
+        self.probes_sent += sent
+        self.probes_retried += sent - len(plan)
+        self.probes_lost += lost
+        self.probes_refused += refused
         return result
-
-    def _probe_hop(
-        self,
-        router: Router,
-        is_final: bool,
-        dst_exists: bool,
-        dst_address: str,
-        inbound_iface,
-        one_way_ms: float,
-        source_addr: str,
-        base_key: "tuple",
-        faults,
-    ) -> Hop:
-        """Probe one TTL up to ``attempts`` times and build its hop."""
-        hop_index = base_key[-1]
-        for attempt in range(self.attempts):
-            # Attempt 0 keeps the historical probe identity so the
-            # retry-free configuration reproduces the seed exactly.
-            probe_key = base_key if attempt == 0 else (*base_key, f"a{attempt}")
-            self.probes_sent += 1
-            if attempt:
-                self.probes_retried += 1
-                self.backoff_ms_total += self.backoff_ms * (2 ** (attempt - 1))
-            if faults is not None and faults.probe_lost(probe_key):
-                self.probes_lost += 1
-                continue
-            if is_final:
-                responds = dst_exists and router.probe_response(
-                    source_addr, probe_key, echo=True, faults=faults
-                )
-                reply_addr = normalize_address(dst_address) if responds else None
-            else:
-                responds = router.probe_response(
-                    source_addr, probe_key, faults=faults
-                )
-                reply_addr = (
-                    str(router.reply_address(inbound_iface, dst_address))
-                    if responds
-                    else None
-                )
-            if not responds:
-                self.probes_refused += 1
-                continue
-            rtt = self._rtt(one_way_ms, probe_key)
-            return Hop(
-                index=hop_index,
-                address=reply_addr,
-                rdns=self.network.rdns.dig(reply_addr, fault_key=probe_key),
-                rtt_ms=round(rtt, 3),
-                reply_ttl=router.policy.initial_ttl - (hop_index - 1),
-                attempts=attempt + 1,
-            )
-        return Hop(index=hop_index, address=None, attempts=self.attempts)
 
     def trace_many(
         self,

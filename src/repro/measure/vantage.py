@@ -103,6 +103,10 @@ class FleetView:
         if name in self._by_name:
             self._dead.add(name)
 
+    def alive_count(self) -> int:
+        """How many VPs survive, in O(1) (``_dead`` only holds fleet names)."""
+        return len(self._vps) - len(self._dead)
+
     def alive(self) -> "list[VantagePoint]":
         """Surviving VPs, in fleet order."""
         return [vp for vp in self._vps if vp.name not in self._dead]

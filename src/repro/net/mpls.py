@@ -86,9 +86,12 @@ class MplsDomain:
 
     def __init__(self) -> None:
         self.tunnels: list[MplsTunnel] = []
-        self._by_ingress: dict[str, list[MplsTunnel]] = {}
+        #: ingress uid -> egress uid -> tunnels between the two.
+        self._by_ingress: dict[str, dict[str, list[MplsTunnel]]] = {}
         #: (hidden router uids, revealing destination router uids)
         self._lsr_rules: list[tuple[frozenset, frozenset]] = []
+        #: destination uid -> uids the LSR rules hide from its probes.
+        self._hidden_for: dict[str, frozenset] = {}
 
     def add_lsr_rule(self, hidden_routers, reveal_destinations) -> None:
         """Hide *hidden_routers* except for probes destined to *reveal_destinations*."""
@@ -98,23 +101,29 @@ class MplsDomain:
                 frozenset(r.uid for r in reveal_destinations),
             )
         )
+        self._hidden_for.clear()
 
     def add(self, tunnel: MplsTunnel) -> MplsTunnel:
         """Register an LSP."""
         self.tunnels.append(tunnel)
-        self._by_ingress.setdefault(tunnel.ingress.uid, []).append(tunnel)
+        by_egress = self._by_ingress.setdefault(tunnel.ingress.uid, {})
+        by_egress.setdefault(tunnel.egress.uid, []).append(tunnel)
         return tunnel
 
     def tunnel_through(self, path_routers: "list[Router]") -> "list[MplsTunnel]":
         """Return LSPs whose ingress and egress both appear, in order, on *path_routers*."""
-        index = {router.uid: i for i, router in enumerate(path_routers)}
+        index = None  # uid -> last position, built once an ingress shows up
         found = []
         for router in path_routers:
-            for tunnel in self._by_ingress.get(router.uid, ()):
-                i = index[tunnel.ingress.uid]
-                j = index.get(tunnel.egress.uid)
-                if j is not None and i < j:
-                    found.append(tunnel)
+            by_egress = self._by_ingress.get(router.uid)
+            if not by_egress:
+                continue
+            if index is None:
+                index = {r.uid: i for i, r in enumerate(path_routers)}
+            # An LSP counts when its egress appears past the last
+            # position of its ingress.
+            for later in path_routers[index[router.uid] + 1:]:
+                found.extend(by_egress.get(later.uid, ()))
         return found
 
     def visible_path(
@@ -133,11 +142,13 @@ class MplsDomain:
         tunnels = self.tunnel_through(path_routers)
         if down:
             tunnels = [t for t in tunnels if t.tunnel_id not in down]
-        hidden_by_rule: set[str] = set()
-        for lsrs, reveal in self._lsr_rules:
-            if destination.uid in reveal:
-                continue
-            hidden_by_rule |= lsrs
+        hidden_by_rule = self._hidden_for.get(destination.uid)
+        if hidden_by_rule is None:
+            hidden_by_rule = frozenset().union(*(
+                lsrs for lsrs, reveal in self._lsr_rules
+                if destination.uid not in reveal
+            ))
+            self._hidden_for[destination.uid] = hidden_by_rule
         if not tunnels and not hidden_by_rule:
             return list(path_routers)
         visible = []

@@ -24,7 +24,11 @@ from repro.net.addresses import IPAddress, parse_ip
 from repro.net.dns import RdnsStore
 from repro.net.link import PER_HOP_PROCESSING_MS, Link
 from repro.net.mpls import MplsDomain
-from repro.net.router import Interface, Router, _stable_hash
+from repro.net.router import Interface, Router, _extend_hash, _hash_prefix
+# Re-exported: tooling that wraps the probe-path hash rebinds it in
+# every repro module that imports it by name, this one included.
+from repro.net.router import _stable_hash  # noqa: F401
+from repro.perf.cache import normalize_address
 
 
 class Network:
@@ -48,10 +52,16 @@ class Network:
         # Longest-prefix "attraction" routes: traffic to any address in
         # the prefix is delivered to the given router even when no
         # interface owns the address (e.g. unused addresses of an
-        # EdgeCO's customer /24).
-        self._prefix_routes: dict[str, Router] = {}
-        self._prefix_lens: set[tuple[int, int]] = set()  # (version, prefixlen)
+        # EdgeCO's customer /24).  Keyed (version, prefixlen, network
+        # as int); _prefix_masks lists each version's (prefixlen, mask)
+        # pairs longest first, so the first hit is the longest match.
+        self._prefix_routes: dict[tuple[int, int, int], Router] = {}
+        self._prefix_masks: dict[int, list[tuple[int, int]]] = {}
         self._adj: dict[str, list[tuple[str, float, Link]]] = {}
+        # (prev uid, cur uid) -> (inbound interface at cur, its link's
+        # delay plus per-hop processing); the first link between two
+        # routers wins, as in an adjacency scan.
+        self._hops: dict[tuple[str, str], tuple[Interface, float]] = {}
         self._sssp_cache: dict[str, tuple[dict[str, float], dict[str, list[str]]]] = {}
 
     # ------------------------------------------------------------------
@@ -68,7 +78,7 @@ class Network:
         return router
 
     def _register_interface(self, iface: Interface) -> None:
-        key = str(iface.address)
+        key = iface.text
         if key in self._addr_owner:
             raise TopologyError(f"address {key} assigned twice")
         self._addr_owner[key] = iface
@@ -100,14 +110,21 @@ class Network:
         weight = link.routing_weight
         self._adj[router_a.uid].append((router_b.uid, weight, link))
         self._adj[router_b.uid].append((router_a.uid, weight, link))
+        hop_ms = link.delay_ms + PER_HOP_PROCESSING_MS
+        for prev, cur in ((router_a, router_b), (router_b, router_a)):
+            inbound = link.a if link.a.router is cur else link.b
+            self._hops.setdefault((prev.uid, cur.uid), (inbound, hop_ms))
         self._sssp_cache.clear()
         return link
 
     def add_prefix_route(self, prefix: "str | ipaddress.IPv4Network | ipaddress.IPv6Network", router: Router) -> None:
         """Route all traffic for *prefix* to *router* (longest match wins)."""
         net = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
-        self._prefix_routes[str(net)] = router
-        self._prefix_lens.add((net.version, net.prefixlen))
+        self._prefix_routes[(net.version, net.prefixlen, int(net.network_address))] = router
+        masks = self._prefix_masks.setdefault(net.version, [])
+        if all(plen != net.prefixlen for plen, _mask in masks):
+            masks.append((net.prefixlen, int(net.netmask)))
+            masks.sort(reverse=True)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -132,14 +149,14 @@ class Network:
     # ------------------------------------------------------------------
     def owner_interface(self, address: "str | IPAddress") -> Optional[Interface]:
         """The interface that owns *address*, if any."""
-        return self._addr_owner.get(str(parse_ip(address)))
+        return self._addr_owner.get(normalize_address(address))
 
     def owner_router(self, address: "str | IPAddress") -> Optional[Router]:
         """The router that owns *address* as an interface or loopback."""
         iface = self.owner_interface(address)
         if iface is not None:
             return iface.router
-        key = str(parse_ip(address))
+        key = normalize_address(address)
         for router in self.routers.values():
             if router.loopback is not None and str(router.loopback) == key:
                 return router
@@ -152,22 +169,17 @@ class Network:
         the prefix's router (which will not answer an echo for it); an
         address outside all prefixes is unroutable.
         """
-        addr = parse_ip(address)
-        iface = self.owner_interface(addr)
+        text = normalize_address(address)
+        iface = self._addr_owner.get(text)
         if iface is not None:
             return iface.router, True
-        best: Optional[Router] = None
-        best_len = -1
-        for version, plen in self._prefix_lens:
-            if version != addr.version or plen <= best_len:
-                continue
-            candidate = str(
-                ipaddress.ip_network(f"{addr}/{plen}", strict=False)
-            )
-            router = self._prefix_routes.get(candidate)
+        addr = parse_ip(text)
+        value = int(addr)
+        for plen, mask in self._prefix_masks.get(addr.version, ()):
+            router = self._prefix_routes.get((addr.version, plen, value & mask))
             if router is not None:
-                best, best_len = router, plen
-        return best, False
+                return router, False
+        return None, False
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -222,22 +234,53 @@ class Network:
             raise RoutingError(f"no route from {src.uid} to {dst.uid}")
         path_uids = [dst.uid]
         node = dst.uid
+        ecmp = None  # hash state for "ecmp|<flow_id>|", made on first tie
         while node != src.uid:
             options = preds[node]
             if len(options) == 1:
                 node = options[0]
             else:
-                choice = _stable_hash("ecmp", flow_id, node) % len(options)
-                node = sorted(options)[choice]
+                if ecmp is None:
+                    ecmp = _hash_prefix(f"ecmp|{flow_id!s}|")
+                # The choice indexes the sorted options.  Sorting the
+                # cached list in place makes every later walk's sort a
+                # no-op pass instead of a fresh copy.
+                options.sort()
+                node = options[_extend_hash(ecmp, node) % len(options)]
             path_uids.append(node)
         path_uids.reverse()
         return [self.routers[uid] for uid in path_uids]
 
-    def _link_between(self, a: Router, b: Router) -> Link:
-        for neighbor_uid, _w, link in self._adj[a.uid]:
-            if neighbor_uid == b.uid:
-                return link
-        raise RoutingError(f"no link between {a.uid} and {b.uid}")
+    def _hop(self, prev: Router, cur: Router) -> "tuple[Interface, float]":
+        """(inbound interface at *cur*, hop delay) for one path step."""
+        try:
+            return self._hops[(prev.uid, cur.uid)]
+        except KeyError:
+            raise RoutingError(f"no link between {prev.uid} and {cur.uid}") from None
+
+    def hop_plan(
+        self,
+        path: "list[Router]",
+        destination: Router,
+        down: "frozenset[str] | set[str]" = frozenset(),
+    ) -> "list[tuple[Router, Optional[Interface], float]]":
+        """What a traceroute along *path* can see, hop by hop.
+
+        One ``(router, inbound interface, cumulative one-way delay)``
+        per visible router after the first, in TTL order: the MPLS
+        filter of :meth:`MplsDomain.visible_path` (with the tunnels in
+        *down* flapped) applied to the per-step facts of
+        :meth:`inbound_interfaces` and :meth:`path_delays_ms`, read from
+        the link table ``connect`` maintains.
+        """
+        facts = {path[0].uid: (None, 0.0)}
+        total = 0.0
+        for prev, cur in zip(path, path[1:]):
+            inbound, hop_ms = self._hop(prev, cur)
+            total += hop_ms
+            facts[cur.uid] = (inbound, total)
+        visible = self.mpls.visible_path(path, destination, down=down)
+        return [(router, *facts[router.uid]) for router in visible[1:]]
 
     def path_delays_ms(self, path: "list[Router]") -> "list[float]":
         """Cumulative one-way *physical* delay at each router of *path*.
@@ -248,8 +291,7 @@ class Network:
         delays = [0.0]
         total = 0.0
         for prev, cur in zip(path, path[1:]):
-            link = self._link_between(prev, cur)
-            total += link.delay_ms + PER_HOP_PROCESSING_MS
+            total += self._hop(prev, cur)[1]
             delays.append(total)
         return delays
 
@@ -267,14 +309,8 @@ class Network:
         """
         result: "list[Optional[Interface]]" = [None]
         for prev, cur in zip(path, path[1:]):
-            inbound = None
-            for neighbor_uid, _w, link in self._adj[prev.uid]:
-                if neighbor_uid != cur.uid:
-                    continue
-                iface = link.a if link.a.router is cur else link.b
-                inbound = iface
-                break
-            result.append(inbound)
+            step = self._hops.get((prev.uid, cur.uid))
+            result.append(step[0] if step is not None else None)
         return result
 
     def neighbors(self, router: Router) -> "list[Router]":

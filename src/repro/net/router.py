@@ -25,8 +25,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def _stable_hash(*parts: object) -> int:
     """Deterministic 64-bit hash of the string forms of *parts*."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+def _hash_prefix(text: str):
+    """A blake2b state that has absorbed *text*, for :func:`_extend_hash`."""
+    return hashlib.blake2b(text.encode(), digest_size=8)
+
+
+def _extend_hash(prefix, suffix: str) -> int:
+    """The :func:`_stable_hash` of *prefix*'s text followed by *suffix*.
+
+    Hot loops that hash many keys sharing a head (every hop of one
+    trace, every ECMP node of one flow) absorb the head once and pay
+    only for the tail; the hash input bytes are unchanged.
+    """
+    state = prefix.copy()
+    state.update(suffix.encode())
+    return int.from_bytes(state.digest(), "big")
 
 
 @dataclass
@@ -41,6 +58,8 @@ class Interface:
 
     def __post_init__(self) -> None:
         self.address = parse_ip(self.address)
+        #: Canonical text form, the key every probe-path table uses.
+        self.text = str(self.address)
 
     @property
     def subnet(self):
@@ -210,7 +229,9 @@ class Router:
         if faults is not None and faults.rate_limited(self.uid, probe_id):
             return False
         decide = self.policy.answers_echo if echo else self.policy.responds_to
-        return decide(parse_ip(probe_source), probe_id)
+        # Only a source-filtering policy reads the source, and it parses
+        # it itself; a probe engine may pass it pre-parsed.
+        return decide(probe_source, probe_id)
 
     def next_ipid(self) -> int:
         """Advance and return the router-wide IP-ID counter (16-bit)."""
@@ -232,3 +253,13 @@ class Router:
         if self.interfaces:
             return self.interfaces[0].address
         raise TopologyError(f"router {self.uid} has no interfaces to reply from")
+
+    def reply_text(self, inbound: "Interface | None", probed: "str | IPAddress") -> str:
+        """:meth:`reply_address` as canonical text.
+
+        The common inbound-interface reply reads the interface's
+        precomputed text instead of formatting an address object.
+        """
+        if self.policy.reply_from == "inbound" and inbound is not None:
+            return inbound.text
+        return str(self.reply_address(inbound, probed))

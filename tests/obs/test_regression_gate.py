@@ -165,7 +165,24 @@ class TestSupervisedMeasurementGate:
             "corpus_digest_identical": True, "speedup": 0.9,
         }
         failures = gate.evaluate(current, baseline)
-        assert any("1.0x floor" in f for f in failures), failures
+        assert any("1.5x floor" in f for f in failures), failures
+
+    def test_speedup_between_the_old_and_new_floor_trips(
+        self, gate, baseline, current
+    ):
+        # 1.4x beat the old 1.0x floor; the 1.5x floor catches the slide.
+        current["measurement"] = {
+            "corpus_digest_identical": True, "speedup": 1.4,
+        }
+        failures = gate.evaluate(current, baseline)
+        assert any("1.5x floor" in f for f in failures), failures
+
+    def test_speedup_at_the_floor_passes(self, gate, baseline, current):
+        current["measurement"] = {
+            "corpus_digest_identical": True,
+            "speedup": gate.MIN_SUPERVISED_SPEEDUP,
+        }
+        assert gate.evaluate(current, baseline) == []
 
     def test_healthy_measurement_passes(self, gate, baseline, current):
         current["measurement"] = {
