@@ -1,19 +1,15 @@
-"""Benchmark harness: inference-phase speedup and supervised measurement.
+"""Benchmark harness: phase-2 inference and supervised measurement.
 
-Three sections, written to ``BENCH_CURRENT.json``:
+Four sections, written to ``BENCH_CURRENT.json``:
 
 * **inference** — the phase-2 pipeline (IP→CO mapping, adjacency
   extraction/pruning, refinement) over a large synthetic region corpus
-  (60 COs, 20k traces by default), run twice in separate subprocesses:
-
-  - ``baseline``: module memos disabled, no :class:`InferenceCache`,
-    quadratic follow-up scan — the pre-PR configuration;
-  - ``optimized``: memos + shared cache + positional follow-up index.
-
-  Each subprocess reports wall-clock, peak RSS (``ru_maxrss`` is
-  process-monotonic, hence the isolation), and a digest of the inferred
-  region graphs; the orchestrator asserts the digests match and records
-  the speedup.
+  (60 COs, 20k traces by default) on the object-graph path
+  (``optimized`` mode: module memos, shared :class:`InferenceCache`,
+  positional follow-up index), run in its own subprocess.  It reports
+  wall-clock, peak RSS (``ru_maxrss`` is process-monotonic, hence the
+  isolation), and a digest of the inferred region graphs, which the
+  regression gate pins against the committed baseline.
 
 * **columnar** — the same phases over the unpaced 1000-CO workload
   (4 regions × 250 COs, 500k traces), comparing the object-graph
@@ -39,9 +35,7 @@ Three sections, written to ``BENCH_CURRENT.json``:
   (``Tracerouter.pace_ms``) models the latency-bound regime real
   campaigns run in — every probe waits on an RTT — which is the regime
   sharded measurement exists for; an unpaced pure-CPU simulation would
-  only measure host core count.  (The thread-based
-  ``ParallelCampaignRunner`` is no longer benchmarked: it is the
-  in-process parity oracle, not the production path.)
+  only measure host core count.
 
 Usage::
 
@@ -96,13 +90,11 @@ def _region_digest(regions) -> str:
 
 def run_inference_mode(mode: str, workload: "dict") -> "dict":
     """One subprocess entry: run phase 2 over the synthetic corpus."""
-    import contextlib
-
     from repro.infer.adjacency import AdjacencyExtractor
     from repro.infer.ip2co import Ip2CoMapper
     from repro.infer.refine import RegionRefiner
     from repro.obs import build_run_manifest
-    from repro.perf import InferenceCache, PhaseProfiler, memoization_disabled
+    from repro.perf import InferenceCache, PhaseProfiler
     from repro.perf.cache import clear_module_memos
     from repro.perf.synthetic import (
         build_synthetic_columnar_corpus,
@@ -111,7 +103,6 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
     from repro.rdns.regexes import HostnameParser
 
     columnar = mode == "columnar"
-    optimized = mode != "baseline"
     if columnar:
         plan, col_corpus, followup_corpus = (
             build_synthetic_columnar_corpus(**workload)
@@ -125,35 +116,26 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
     parser = HostnameParser()
     clear_module_memos()  # corpus generation must not pre-warm the memos
 
-    guard = contextlib.nullcontext() if optimized else memoization_disabled()
     profiler = PhaseProfiler()
     start = time.perf_counter()
-    with guard:
-        cache = InferenceCache(rdns, parser) if optimized else None
-        mapper = Ip2CoMapper(rdns, isp, parser=parser, cache=cache)
-        with profiler.phase("ip2co"):
-            mapping = (
-                mapper.build_columnar(col_corpus, aliases) if columnar
-                else mapper.build(corpus.traces, aliases)
-            )
-        extractor = AdjacencyExtractor(
-            mapping, rdns, isp, parser=parser, cache=cache,
-            use_followup_index=optimized,
+    cache = InferenceCache(rdns, parser)
+    mapper = Ip2CoMapper(rdns, isp, parser=parser, cache=cache)
+    with profiler.phase("ip2co"):
+        mapping = (
+            mapper.build_columnar(col_corpus, aliases)
+            if columnar
+            else mapper.build(corpus.traces, aliases)
         )
-        with profiler.phase("adjacency"):
-            adjacencies = (
-                extractor.extract_columnar(col_corpus, followup_corpus)
-                if columnar
-                else extractor.extract(
-                    corpus.traces, followup_traces=corpus.followups
-                )
-            )
-        refiner = RegionRefiner(cache=cache)
-        with profiler.phase("refine"):
-            regions = {
-                name: refiner.refine(name, counter)
-                for name, counter in adjacencies.per_region.items()
-            }
+    extractor = AdjacencyExtractor(mapping, rdns, isp, parser=parser, cache=cache)
+    with profiler.phase("adjacency"):
+        adjacencies = (
+            extractor.extract_columnar(col_corpus, followup_corpus)
+            if columnar
+            else extractor.extract(corpus.traces, followup_traces=corpus.followups)
+        )
+    refiner = RegionRefiner(cache=cache)
+    with profiler.phase("refine"):
+        regions = {name: refiner.refine(name, counter) for name, counter in adjacencies.per_region.items()}
     wall_s = time.perf_counter() - start
 
     report = profiler.as_dict()
@@ -166,7 +148,7 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
         seed=int(workload["seed"]),
         parameters=dict(workload),
         tracer=profiler.tracer,
-        metrics=cache.metrics if cache is not None else None,
+        metrics=cache.metrics,
         artifact_digests={"inferred-regions": digest},
     )
     return {
@@ -186,7 +168,7 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
             "mpls_co": stats.mpls_co,
             "single_co": stats.single_co,
         },
-        "cache_stats": cache.stats.as_dict() if cache is not None else None,
+        "cache_stats": cache.stats.as_dict(),
     }
 
 
@@ -207,8 +189,8 @@ def _best_of(repeats: int, mode: str, workload: "dict") -> "dict":
 
     The tiny smoke corpus finishes in tens of milliseconds, where
     scheduler noise dominates; the minimum wall-clock is the standard
-    noise-robust estimator, and it is what the CI regression gate's
-    speedup ratio is built from.
+    noise-robust estimator, and the columnar speedup ratio is built
+    from it.
     """
     runs = [_spawn_mode(mode, workload) for _ in range(max(1, repeats))]
     digests = {run["digest"] for run in runs}
@@ -363,7 +345,7 @@ def run_measurement_section() -> "dict":
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=("baseline", "optimized", "columnar"),
+    parser.add_argument("--mode", choices=("optimized", "columnar"),
                         help="internal: run one inference mode and print JSON")
     parser.add_argument("--workload", help="internal: workload JSON")
     parser.add_argument("--smoke", action="store_true",
@@ -382,30 +364,14 @@ def main() -> int:
     workload = SMOKE_WORKLOAD if args.smoke else FULL_WORKLOAD
     repeats = args.repeats or (3 if args.smoke else 1)
     print(f"workload: {workload} (best of {repeats})", file=sys.stderr)
-    baseline = _best_of(repeats, "baseline", workload)
-    print(f"baseline:  {baseline['wall_s']}s, "
-          f"rss {baseline['peak_rss_kb']}kB", file=sys.stderr)
     optimized = _best_of(repeats, "optimized", workload)
     print(f"optimized: {optimized['wall_s']}s, "
           f"rss {optimized['peak_rss_kb']}kB", file=sys.stderr)
-    if baseline["digest"] != optimized["digest"]:
-        print("FATAL: baseline and optimized inferred different graphs",
-              file=sys.stderr)
-        return 1
-    speedup = (
-        baseline["wall_s"] / optimized["wall_s"]
-        if optimized["wall_s"] else float("inf")
-    )
 
     payload = {
-        "benchmark": "inference speedup + supervised measurement",
+        "benchmark": "inference + supervised measurement",
         "smoke": args.smoke,
-        "inference": {
-            "baseline": baseline,
-            "optimized": optimized,
-            "speedup": round(speedup, 2),
-            "results_identical": True,
-        },
+        "inference": {"optimized": optimized},
     }
 
     # Columnar section: object-graph oracle vs vectorized columnar path
@@ -467,7 +433,7 @@ def main() -> int:
     write_run_manifest(
         sidecar, run_manifest_from_json(json.dumps(optimized["manifest"]))
     )
-    print(f"speedup: {speedup:.2f}x  →  {out}", file=sys.stderr)
+    print(f"payload               →  {out}", file=sys.stderr)
     print(f"manifest sidecar      →  {sidecar}", file=sys.stderr)
     return 0
 

@@ -4,8 +4,8 @@ The batch pipeline is a fold over the corpus: every stage consumes
 either per-address lookups or insertion-ordered unique-pair counts.
 :class:`IncrementalCoGraph` maintains exactly those sufficient
 statistics trace-by-trace — O(hops) per ingest — and materializes a
-full CO graph on demand by replaying the *same* stage code
-(:class:`~repro.infer.ip2co.Ip2CoMapper` voting,
+full CO graph on demand by running the *same* stage code the batch
+adapters call (:meth:`~repro.infer.ip2co.Ip2CoMapper._run_stages`,
 :meth:`~repro.infer.adjacency.AdjacencyExtractor._classify` pruning,
 :class:`~repro.infer.refine.RegionRefiner`).  Because the pair counts
 accumulate in first-occurrence order — the batch Counter's insertion
@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import InferenceError
 from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex, RegionAdjacencies
-from repro.infer.ip2co import CoConflict, Ip2CoMapper, Ip2CoMapping, Ip2CoStats
+from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RegionRefiner
 from repro.measure.traceroute import TraceResult
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address, p2p_peer_str
+from repro.perf.cache import normalize_address
 
 
 def region_digest(regions: "dict") -> str:
@@ -98,10 +98,10 @@ class IncrementalCoGraph:
         self._pairs: "Counter[tuple[str, str]]" = Counter()
         #: Echo-excluded pair counts feeding the p2p vote (stage 3).
         self._p2p_pairs: "Counter[tuple[str, str]]" = Counter()
-        #: Responding addresses plus their p2p-subnet peers (stage 1).
-        self._observed: "set[str]" = set()
+        #: Addresses that answered at some hop (stage 1's input).
+        self._responding: "set[str]" = set()
         #: Live positional index over ingested follow-up (DPR) traces.
-        self._followup_index = FollowupIndex([])
+        self._followup_index = FollowupIndex()
         self.traces_ingested = 0
         self.followups_ingested = 0
 
@@ -111,14 +111,9 @@ class IncrementalCoGraph:
     def ingest(self, trace: TraceResult) -> None:
         """Fold one primary trace into the sufficient statistics."""
         for hop in trace.hops:
-            if hop.address is None:
-                continue
-            self._observed.add(hop.address)
-            peer = p2p_peer_str(hop.address, self.mapper.p2p_prefixlen)
-            if peer is not None:
-                self._observed.add(peer)
-        pairs = trace.adjacent_pairs()
-        for pair in pairs:
+            if hop.address is not None:
+                self._responding.add(hop.address)
+        for pair in trace.adjacent_pairs():
             self._pairs[pair] += 1
         for pair in trace.adjacent_pairs(exclude_final_echo=True):
             self._p2p_pairs[pair] += 1
@@ -126,17 +121,7 @@ class IncrementalCoGraph:
 
     def ingest_followup(self, trace: TraceResult) -> None:
         """Fold one follow-up (DPR) trace into the MPLS span index."""
-        t_index = self.followups_ingested
-        spans = self._followup_index._spans
-        for hop in trace.hops:
-            if hop.address is None:
-                continue
-            per_trace = spans.setdefault(hop.address, {})
-            seen = per_trace.get(t_index)
-            if seen is None:
-                per_trace[t_index] = (hop.index, hop.index)
-            else:
-                per_trace[t_index] = (seen[0], hop.index)
+        self._followup_index.add(trace)
         self.followups_ingested += 1
 
     def ingest_corpus(self, corpus, followups: bool = False) -> int:
@@ -148,7 +133,7 @@ class IncrementalCoGraph:
         return len(traces)
 
     # ------------------------------------------------------------------
-    # Materialization — replays the batch stages over the counts
+    # Materialization — runs the batch stages over the counts
     # ------------------------------------------------------------------
     def snapshot(
         self,
@@ -157,32 +142,10 @@ class IncrementalCoGraph:
         refiner: "RegionRefiner | None" = None,
     ) -> StreamSnapshot:
         """Run voting + pruning + refinement over the current state."""
-        stats = Ip2CoStats()
-        addresses = set(self._observed)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
-        mapping = self.mapper.initial_mapping(addresses)
-        stats.initial = len(mapping)
-        conflicts: "list[CoConflict]" = []
-        if aliases is not None:
-            self.mapper._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        # Stage 3 over the accumulated unique-pair counts: identical
-        # vote totals and dict ordering to the batch occurrence walk
-        # (first occurrence of a pair = first occurrence of its vote).
-        votes: "dict[str, Counter]" = {}
-        for (prev_addr, cur_addr), count in self._p2p_pairs.items():
-            peer = p2p_peer_str(cur_addr, self.mapper.p2p_prefixlen)
-            if peer is None:
-                continue
-            peer_co = mapping.get(peer)
-            if peer_co is None:
-                continue
-            votes.setdefault(prev_addr, Counter())[peer_co] += count
-        self.mapper._resolve_p2p_votes(mapping, votes, stats, conflicts)
-        stats.final = len(mapping)
-        ip2co = Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
-
+        ip2co = self.mapper._run_stages(
+            self._responding, self._p2p_pairs.items(), aliases,
+            extra_addresses,
+        )
         extractor = AdjacencyExtractor(
             ip2co, self.rdns, self.isp, parser=self.mapper.parser,
             cache=self.cache, isp_aliases=self.isp_aliases,
@@ -190,9 +153,7 @@ class IncrementalCoGraph:
         followup_index = (
             self._followup_index if self.followups_ingested else None
         )
-        adjacencies = extractor._classify(
-            self._pairs.items(), [], followup_index
-        )
+        adjacencies = extractor._classify(self._pairs.items(), followup_index)
 
         refiner = refiner or RegionRefiner(cache=self.cache)
         regions = {

@@ -100,19 +100,26 @@ class FollowupIndex:
     tunnel-separated — compressing out silent hops would hide it.
     """
 
-    def __init__(self, traces: "list[TraceResult]") -> None:
+    def __init__(self, traces: "list[TraceResult]" = ()) -> None:
         #: address -> {trace index: (earliest hop idx, latest hop idx)}
         self._spans: "dict[str, dict[int, tuple[int, int]]]" = {}
-        for t_index, trace in enumerate(traces):
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                spans = self._spans.setdefault(hop.address, {})
-                seen = spans.get(t_index)
-                if seen is None:
-                    spans[t_index] = (hop.index, hop.index)
-                else:
-                    spans[t_index] = (seen[0], hop.index)
+        self._traces = 0
+        for trace in traces:
+            self.add(trace)
+
+    def add(self, trace: TraceResult) -> None:
+        """Index one more follow-up trace (the next trace index)."""
+        t_index = self._traces
+        for hop in trace.hops:
+            if hop.address is None:
+                continue
+            spans = self._spans.setdefault(hop.address, {})
+            seen = spans.get(t_index)
+            if seen is None:
+                spans[t_index] = (hop.index, hop.index)
+            else:
+                spans[t_index] = (seen[0], hop.index)
+        self._traces += 1
 
     @classmethod
     def from_columnar(cls, corpus) -> "FollowupIndex":
@@ -123,7 +130,8 @@ class FollowupIndex:
         """
         from repro.corpus.columnar import hop_span_groups
 
-        index = cls([])
+        index = cls()
+        index._traces = len(corpus)
         addr_ids, trace_ids, earliest, latest = hop_span_groups(corpus)
         addresses = corpus.addresses
         spans = index._spans
@@ -158,8 +166,7 @@ class AdjacencyExtractor:
     def __init__(self, mapping: Ip2CoMapping, rdns: RdnsStore, isp: str,
                  parser: "HostnameParser | None" = None,
                  cache=None,
-                 isp_aliases: "tuple[str, ...]" = (),
-                 use_followup_index: bool = True) -> None:
+                 isp_aliases: "tuple[str, ...]" = ()) -> None:
         self.mapping = mapping
         self.rdns = rdns
         self.isp = isp
@@ -173,10 +180,6 @@ class AdjacencyExtractor:
         self._accepted_isps = frozenset(
             {isp} | set(ISP_ALIASES.get(isp, ())) | set(isp_aliases)
         )
-        #: Benchmark switch: False selects the quadratic reference scan
-        #: (with correct occurrence-pair semantics) instead of the
-        #: positional index.
-        self.use_followup_index = use_followup_index
 
     # -- helpers -------------------------------------------------------------
     def _backbone_tag(self, address: str) -> "str | None":
@@ -192,36 +195,6 @@ class AdjacencyExtractor:
             return parsed.co_tag or parsed.region
         return None
 
-    @staticmethod
-    def _mpls_separated(
-        pair: "tuple[str, str]", followup_traces: "list[TraceResult]"
-    ) -> bool:
-        """Reference scan: hops inside *pair* in any follow-up trace.
-
-        Considers every occurrence pair in path order — the earliest
-        occurrence of *first* against any later occurrence of *second*
-        — so reversed or duplicate-hop DPR traces cannot mis-classify.
-        Spacing is measured over ``Hop.index`` (TTL space): an
-        unresponsive interior hop in ``A, *, B`` still separates the
-        pair.  Kept as the :class:`FollowupIndex` equivalence oracle
-        and the benchmark's pre-index baseline.
-        """
-        first, second = pair
-        for trace in followup_traces:
-            earliest = None
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                if hop.address == first and earliest is None:
-                    earliest = hop.index
-                elif (
-                    hop.address == second
-                    and earliest is not None
-                    and hop.index > earliest + 1
-                ):
-                    return True
-        return False
-
     # -- the extraction ---------------------------------------------------
     def extract(
         self,
@@ -229,17 +202,14 @@ class AdjacencyExtractor:
         followup_traces: "list[TraceResult] | None" = None,
     ) -> RegionAdjacencies:
         """Lift IP adjacencies to pruned per-region CO adjacencies."""
-        followups = followup_traces or []
         ip_pairs: Counter = Counter()
         for trace in traces:
             for pair in trace.adjacent_pairs():
                 ip_pairs[pair] += 1
         followup_index = (
-            FollowupIndex(followups)
-            if followups and self.use_followup_index
-            else None
+            FollowupIndex(followup_traces) if followup_traces else None
         )
-        return self._classify(ip_pairs.items(), followups, followup_index)
+        return self._classify(ip_pairs.items(), followup_index)
 
     def extract_columnar(
         self, corpus, followup_corpus=None
@@ -250,39 +220,30 @@ class AdjacencyExtractor:
         reductions (:func:`repro.corpus.columnar.adjacent_pair_counts`
         emits unique pairs in first-occurrence order, matching the
         object path's Counter insertion order exactly); the
-        classification itself is shared with :meth:`extract`, so the
-        object-graph path remains the digest-parity oracle.
+        classification itself is shared with :meth:`extract`.
         """
         from repro.corpus.columnar import adjacent_pair_counts
 
-        addresses = corpus.addresses
-        pair_items = [
+        addresses = corpus.addresses.strings
+        pair_counts = (
             ((addresses[first], addresses[second]), count)
             for first, second, count in adjacent_pair_counts(corpus)
-        ]
-        followups: "list[TraceResult]" = []
-        followup_index = None
-        if followup_corpus is not None and len(followup_corpus):
-            if self.use_followup_index:
-                followup_index = FollowupIndex.from_columnar(followup_corpus)
-            else:
-                followups = followup_corpus.to_traces()
-        return self._classify(pair_items, followups, followup_index)
+        )
+        followup_index = (
+            FollowupIndex.from_columnar(followup_corpus)
+            if followup_corpus is not None and len(followup_corpus)
+            else None
+        )
+        return self._classify(pair_counts, followup_index)
 
     def _classify(
-        self,
-        pair_counts,
-        followups: "list[TraceResult]",
-        followup_index: "FollowupIndex | None",
+        self, pair_counts, followup_index: "FollowupIndex | None"
     ) -> RegionAdjacencies:
         """The shared pruning/accounting pass over ``(pair, count)``
-        items (insertion-ordered — output ordering follows it)."""
+        items (insertion-ordered — output ordering follows it).  With
+        no *followup_index* nothing is MPLS-pruned."""
         result = RegionAdjacencies()
         stats = result.stats
-        has_followups = bool(followups) or followup_index is not None
-
-        # Reference-path memo: pair -> separated? (one scan per pair).
-        separated_memo: "dict[tuple[str, str], bool]" = {}
 
         co_pairs: "dict[tuple[str, str, str], int]" = {}  # (region, a, b) -> n
         #: Surviving CO pair -> number of distinct contributing IP pairs
@@ -323,19 +284,12 @@ class AdjacencyExtractor:
                 stats.cross_region_ip += 1
                 co_cross[(region_a, tag_a, region_b, tag_b)] += count
                 continue
-            if has_followups:
-                if followup_index is not None:
-                    separated = followup_index.separated(ip_a, ip_b)
-                else:
-                    pair = (ip_a, ip_b)
-                    separated = separated_memo.get(pair)
-                    if separated is None:
-                        separated = self._mpls_separated(pair, followups)
-                        separated_memo[pair] = separated
-                if separated:
-                    stats.mpls_ip += 1
-                    mpls_co_pairs.add((region_a, tag_a, tag_b))
-                    continue
+            if followup_index is not None and followup_index.separated(
+                ip_a, ip_b
+            ):
+                stats.mpls_ip += 1
+                mpls_co_pairs.add((region_a, tag_a, tag_b))
+                continue
             key = (region_a, tag_a, tag_b)
             co_pairs[key] = co_pairs.get(key, 0) + count
             co_pair_ip_sources[key] += 1

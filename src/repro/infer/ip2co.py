@@ -110,38 +110,6 @@ class Ip2CoMapper:
             return self.cache.regional_co(address, self.isp)
         return self.parser.regional_co(self.rdns.lookup(address), self.isp)
 
-    def observed_addresses(self, traces: "list[TraceResult]") -> "set[str]":
-        """All responding hop addresses plus their p2p-subnet peers."""
-        addresses: set[str] = set()
-        for trace in traces:
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                addresses.add(hop.address)
-                peer = p2p_peer_str(hop.address, self.p2p_prefixlen)
-                if peer is not None:
-                    addresses.add(peer)
-        return addresses
-
-    def observed_addresses_columnar(self, corpus) -> "set[str]":
-        """:meth:`observed_addresses` over a columnar corpus.
-
-        The p2p-peer derivation runs once per *unique* responding
-        address (one ``np.unique`` over the hop column) instead of once
-        per hop occurrence.
-        """
-        from repro.corpus.columnar import responding_address_ids
-
-        addresses: set[str] = set()
-        table = corpus.addresses
-        for addr_id in responding_address_ids(corpus):
-            address = table[int(addr_id)]
-            addresses.add(address)
-            peer = p2p_peer_str(address, self.p2p_prefixlen)
-            if peer is not None:
-                addresses.add(peer)
-        return addresses
-
     def initial_mapping(self, addresses: "set[str]") -> "dict[str, CoRef]":
         mapping = {}
         for address in sorted(addresses):
@@ -193,62 +161,29 @@ class Ip2CoMapper:
     def _apply_p2p_votes(
         self,
         mapping: "dict[str, CoRef]",
-        traces: "list[TraceResult]",
+        pair_counts,
         stats: Ip2CoStats,
         conflicts: "list[CoConflict]",
     ) -> None:
-        votes: "dict[str, Counter]" = {}
-        for trace in traces:
-            for prev_addr, cur_addr in trace.adjacent_pairs(exclude_final_echo=True):
-                peer = p2p_peer_str(cur_addr, self.p2p_prefixlen)
-                if peer is None:
-                    continue
-                peer_co = mapping.get(peer)
-                if peer_co is None:
-                    continue
-                # The peer of the inbound interface most likely sits on
-                # the previous-hop router (Fig 19).
-                votes.setdefault(prev_addr, Counter())[peer_co] += 1
-        self._resolve_p2p_votes(mapping, votes, stats, conflicts)
+        """Vote from ``((prev, cur), count)`` items, echo pairs excluded.
 
-    def _apply_p2p_votes_columnar(
-        self,
-        mapping: "dict[str, CoRef]",
-        corpus,
-        stats: Ip2CoStats,
-        conflicts: "list[CoConflict]",
-    ) -> None:
-        """Stage 3 over columnar pair counts.
-
-        Votes aggregate from unique-pair counts (pairs emitted in
-        first-occurrence order, so the votes dict — and therefore the
-        conflicts list — is ordered exactly as the object path's).
-        Vote *application* is order-independent per address: votes are
-        collected in one read-only pass before any mapping mutation.
+        Pairs arrive in first-occurrence order, so the votes dict — and
+        therefore the conflicts list — is ordered as an occurrence walk
+        over the traces would order it.  All votes are collected before
+        any mapping mutation, so their application is order-independent
+        per address.
         """
-        from repro.corpus.columnar import adjacent_pair_counts
-
-        table = corpus.addresses
         votes: "dict[str, Counter]" = {}
-        for first, second, count in adjacent_pair_counts(
-            corpus, exclude_final_echo=True
-        ):
-            peer = p2p_peer_str(table[second], self.p2p_prefixlen)
+        for (prev_addr, cur_addr), count in pair_counts:
+            peer = p2p_peer_str(cur_addr, self.p2p_prefixlen)
             if peer is None:
                 continue
             peer_co = mapping.get(peer)
             if peer_co is None:
                 continue
-            votes.setdefault(table[first], Counter())[peer_co] += count
-        self._resolve_p2p_votes(mapping, votes, stats, conflicts)
-
-    def _resolve_p2p_votes(
-        self,
-        mapping: "dict[str, CoRef]",
-        votes: "dict[str, Counter]",
-        stats: Ip2CoStats,
-        conflicts: "list[CoConflict]",
-    ) -> None:
+            # The peer of the inbound interface most likely sits on
+            # the previous-hop router (Fig 19).
+            votes.setdefault(prev_addr, Counter())[peer_co] += count
         for address, counter in votes.items():
             ranked = counter.most_common()
             top_co, top_count = ranked[0]
@@ -272,42 +207,77 @@ class Ip2CoMapper:
                 stats.p2p_changed += 1
 
     # -- the full run --------------------------------------------------------
+    def _run_stages(
+        self,
+        responding: "set[str]",
+        p2p_pairs,
+        aliases: "AliasSets | None",
+        extra_addresses: "set[str] | None",
+    ) -> Ip2CoMapping:
+        """Stages 1–3 over representation-neutral inputs.
+
+        *responding* is the set of addresses that answered at some hop;
+        *p2p_pairs* yields ``((prev, cur), count)`` for every unique
+        adjacent pair, the final echo of a completed trace excluded, in
+        first-occurrence order.  Every corpus representation reduces to
+        these two inputs, so the stages exist once.
+        """
+        addresses = set(responding)
+        for address in responding:
+            peer = p2p_peer_str(address, self.p2p_prefixlen)
+            if peer is not None:
+                addresses.add(peer)
+        if extra_addresses:
+            addresses |= {normalize_address(a) for a in extra_addresses}
+        stats = Ip2CoStats()
+        mapping = self.initial_mapping(addresses)
+        stats.initial = len(mapping)
+        conflicts: "list[CoConflict]" = []
+        if aliases is not None:
+            self._apply_alias_groups(mapping, aliases, stats, conflicts)
+        stats.after_alias = len(mapping)
+        self._apply_p2p_votes(mapping, p2p_pairs, stats, conflicts)
+        stats.final = len(mapping)
+        return Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
+
     def build(self, traces: "list[TraceResult]", aliases: AliasSets,
               extra_addresses: "set[str] | None" = None) -> Ip2CoMapping:
         """Run all three stages; *extra_addresses* joins stage 1's input
         (e.g. every rDNS-bearing address of the ISP, §5.1)."""
-        stats = Ip2CoStats()
-        addresses = self.observed_addresses(traces)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
-        mapping = self.initial_mapping(addresses)
-        stats.initial = len(mapping)
-        conflicts: "list[CoConflict]" = []
-        self._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        self._apply_p2p_votes(mapping, traces, stats, conflicts)
-        stats.final = len(mapping)
-        return Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
+        responding: "set[str]" = set()
+        pairs: Counter = Counter()
+        for trace in traces:
+            for hop in trace.hops:
+                if hop.address is not None:
+                    responding.add(hop.address)
+            for pair in trace.adjacent_pairs(exclude_final_echo=True):
+                pairs[pair] += 1
+        return self._run_stages(
+            responding, pairs.items(), aliases, extra_addresses
+        )
 
     def build_columnar(self, corpus, aliases: AliasSets,
                        extra_addresses: "set[str] | None" = None) -> Ip2CoMapping:
         """:meth:`build` over a columnar corpus.
 
-        Stages 1 and 3 read the hop columns directly (unique responding
-        addresses, vectorized pair counts); stage 2 is already
-        per-alias-group and shared verbatim.  Output is identical to
-        ``build(corpus.to_traces(), ...)`` — the object path stays the
-        parity oracle.
+        The stage inputs come from the hop columns: the unique
+        responding address ids and the vectorized pair counts, which
+        :func:`~repro.corpus.columnar.adjacent_pair_counts` emits in
+        first-occurrence order like the object path's ``Counter``.
         """
-        stats = Ip2CoStats()
-        addresses = self.observed_addresses_columnar(corpus)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
-        mapping = self.initial_mapping(addresses)
-        stats.initial = len(mapping)
-        conflicts: "list[CoConflict]" = []
-        self._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        self._apply_p2p_votes_columnar(mapping, corpus, stats, conflicts)
-        stats.final = len(mapping)
-        return Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
+        from repro.corpus.columnar import (
+            adjacent_pair_counts,
+            responding_address_ids,
+        )
+
+        table = corpus.addresses.strings
+        responding = {
+            table[addr_id] for addr_id in responding_address_ids(corpus).tolist()
+        }
+        pairs = (
+            ((table[first], table[second]), count)
+            for first, second, count in adjacent_pair_counts(
+                corpus, exclude_final_echo=True
+            )
+        )
+        return self._run_stages(responding, pairs, aliases, extra_addresses)

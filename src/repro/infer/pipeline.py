@@ -33,7 +33,6 @@ from repro.infer.entries import EntryInferrer, EntryPoint
 from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RefinedRegion, RegionRefiner
 from repro.io.checkpoint import CampaignCheckpoint
-from repro.measure.parallel import ParallelCampaignRunner
 from repro.measure.runner import CampaignHealth, CampaignRunner
 from repro.measure.supervisor import SupervisedCampaignRunner
 from repro.measure.traceroute import TraceResult, Tracerouter
@@ -99,7 +98,6 @@ class CableInferencePipeline:
         failover: bool = True,
         stop_after: "int | None" = None,
         validate: str = "off",
-        parallel: int = 0,
         workers: int = 0,
         worker_spec=None,
         shard_size: "int | None" = None,
@@ -169,14 +167,10 @@ class CableInferencePipeline:
         self.validate = validate
         self._guard = InvariantGuard(validate) if validate != "off" else None
         self.runner: "CampaignRunner | None" = None
-        #: In-process thread parallelism: 0/1 = serial CampaignRunner,
-        #: N>1 = ParallelCampaignRunner with N threads.  Kept as the
-        #: parity oracle; ``workers`` is the production path.
-        self.parallel = max(0, parallel)
-        #: Supervised process sharding: 0/1 = off, N>1 = a
-        #: SupervisedCampaignRunner with N spawned workers rebuilding
-        #: their substrate from ``worker_spec`` (byte-identical corpus,
-        #: crash-tolerant).  Takes precedence over ``parallel``.
+        #: Supervised process sharding: 0/1 = the serial CampaignRunner,
+        #: N>1 = a SupervisedCampaignRunner with N spawned workers
+        #: rebuilding their substrate from ``worker_spec`` (byte-identical
+        #: corpus, crash-tolerant).
         self.workers = max(0, workers)
         self.worker_spec = worker_spec
         self.shard_size = shard_size
@@ -198,7 +192,7 @@ class CableInferencePipeline:
         #: :class:`~repro.corpus.columnar.TraceCorpus`, runs the
         #: vectorized ip2co/adjacency paths, and stores checkpoint
         #: stage traces in ``.npz`` sidecars.  Output is digest-
-        #: identical either way — the object path is the parity oracle.
+        #: identical either way: both paths feed the same stage core.
         if corpus_format not in ("json", "binary"):
             raise MeasurementError(
                 f"unknown corpus format {corpus_format!r} "
@@ -286,9 +280,6 @@ class CableInferencePipeline:
             options["quarantine"] = (
                 self._guard.report if self._guard is not None else None
             )
-        elif self.parallel > 1:
-            runner_cls = ParallelCampaignRunner
-            options["workers"] = self.parallel
         checkpoint = None
         if self.checkpoint_path is not None:
             if self.resume and pathlib.Path(self.checkpoint_path).exists():

@@ -257,7 +257,7 @@ class CampaignRunner:
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         """One actual traceroute — the seam execution strategies override.
 
-        The serial runner probes synchronously; the parallel runner
+        The serial runner probes synchronously; the supervised runner
         substitutes a speculatively-computed trace (replaying its probe
         counters onto this tracer) when one is available.
         """

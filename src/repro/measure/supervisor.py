@@ -1,10 +1,8 @@
 """Supervised process-sharded campaign execution.
 
-:class:`SupervisedCampaignRunner` is the crash-tolerant big sibling of
-the thread-based :class:`~repro.measure.parallel.ParallelCampaignRunner`
-(kept as the in-process parity oracle).  It keeps the same two-pass
-speculate-then-replay architecture — which is what preserves the
-byte-identical-to-serial corpus guarantee — but moves speculation into
+:class:`SupervisedCampaignRunner` runs a campaign stage in two passes,
+speculate then replay — which is what preserves the
+byte-identical-to-serial corpus guarantee — with speculation in
 **spawned worker processes** managed by a supervisor loop:
 
 1. **Shard** — the stage's pending jobs are partitioned by
@@ -26,6 +24,10 @@ byte-identical-to-serial corpus guarantee — but moves speculation into
    ``_run_trace`` seam consumes the speculative traces and applies
    their deltas, so checkpoints, health accounting, VP-death
    thresholds, and the final corpus match a serial run byte for byte.
+   VP death and the failover it causes depend on cross-VP ordering,
+   so they are resolved entirely here: a job reassigned to a stand-in
+   finds no speculative entry under the stand-in's key and probes
+   synchronously on the canonical substrate.
 
 Worker-level chaos (``worker_crash`` / ``worker_stall`` /
 ``worker_slow`` in the :class:`~repro.faults.plan.FaultPlan`) is drawn
@@ -50,11 +52,6 @@ from multiprocessing.connection import wait as _conn_wait
 from repro.errors import CampaignInterrupted, MeasurementError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.measure.parallel import (
-    _TRACE_FAULT_FIELDS,
-    ParallelCampaignRunner,
-    _Speculative,
-)
 from repro.measure.runner import CampaignRunner
 from repro.measure.shard import Shard, plan_shards
 from repro.measure.substrates import WorkerSpec
@@ -75,6 +72,22 @@ _POLL_TICK_S = 0.05
 #: sides ping-pong (worker idle during ingest, supervisor idle during
 #: probing) and the pool runs no faster than serial.
 _PREFETCH_DEPTH = 2
+#: Fault-stat fields incremented on the probe path (inside a single
+#: trace) — the ones speculation must capture and replay.  VP flaps and
+#: deaths happen in the runner loop; stale lookups happen at inference
+#: time.  Both therefore never occur inside a worker.
+_TRACE_FAULT_FIELDS = ("probes_lost", "rate_limited", "rdns_timeouts", "lsp_flaps")
+
+
+class _Speculative:
+    """One precomputed job: the trace plus the counters it cost."""
+
+    __slots__ = ("trace", "tracer_delta", "fault_delta")
+
+    def __init__(self, trace, tracer_delta, fault_delta) -> None:
+        self.trace = trace
+        self.tracer_delta = tracer_delta
+        self.fault_delta = fault_delta
 
 
 def _trace_to_wire(trace: TraceResult):
@@ -261,7 +274,7 @@ class _Worker:
             pass
 
 
-class SupervisedCampaignRunner(ParallelCampaignRunner):
+class SupervisedCampaignRunner(CampaignRunner):
     """A :class:`CampaignRunner` speculating in supervised processes.
 
     Same ``run`` contract and checkpoints as the serial runner, same
@@ -295,8 +308,10 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
         super().__init__(
             tracer, vps, checkpoint=checkpoint, min_vps=min_vps,
             failover=failover, checkpoint_every=checkpoint_every,
-            stop_after=stop_after, workers=workers, obs=obs, metrics=metrics,
+            stop_after=stop_after, obs=obs, metrics=metrics,
         )
+        self.workers = max(1, int(workers))
+        self._speculative: "dict[tuple[str, str, int], _Speculative]" = {}
         self.worker_spec = worker_spec
         self.shard_size = shard_size
         self.shard_deadline = float(shard_deadline)
@@ -324,16 +339,39 @@ class SupervisedCampaignRunner(ParallelCampaignRunner):
             self.checkpoint.clear_shards(stage)
         super()._save_checkpoint(stage, traces, done, complete)
 
+    def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
+        speculative = self._speculative.pop((vp.name, target, flow_id), None)
+        if speculative is None:
+            # Cache miss: a failover stand-in, or a job speculation
+            # skipped.  Runs synchronously on the canonical substrate,
+            # exactly as the serial runner would.
+            return super()._run_trace(vp, target, flow_id)
+        tracer = self.tracer
+        delta = speculative.tracer_delta
+        tracer.probes_sent += int(delta["probes_sent"])
+        tracer.traces_run += int(delta["traces_run"])
+        tracer.probes_lost += int(delta["probes_lost"])
+        tracer.probes_refused += int(delta["probes_refused"])
+        tracer.probes_retried += int(delta["probes_retried"])
+        tracer.backoff_ms_total += delta["backoff_ms_total"]
+        if self.injector is not None and speculative.fault_delta is not None:
+            stats = self.injector.stats
+            for name in _TRACE_FAULT_FIELDS:
+                setattr(
+                    stats, name,
+                    getattr(stats, name) + speculative.fault_delta[name],
+                )
+        return speculative.trace
+
     def run(self, jobs, stage="campaign", flow_id=0, keep_empty=False):
         self._precompute(jobs, stage, flow_id)
         try:
-            # Skip ParallelCampaignRunner.run — it would call our
-            # _precompute a second time — and go straight to the serial
-            # replay loop.
-            return CampaignRunner.run(
-                self, jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
+            return super().run(
+                jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
             )
         finally:
+            # Unconsumed entries (jobs that failed over, or a stage cut
+            # short by stop_after) must not leak into later stages.
             self._speculative.clear()
             self._poisoned.clear()
 

@@ -81,16 +81,6 @@ class RdnsStore:
             return None
         return self._dig.get(key)
 
-    def dig_record(self, address: "str | IPAddress") -> Optional[str]:
-        """The raw live record, bypassing fault injection.
-
-        Exists so execution layers that carry their *own* injector (the
-        parallel campaign runner's per-worker substrate views) can
-        re-implement :meth:`dig` against it without consulting the
-        injector attached to this store.
-        """
-        return self._dig.get(normalize_address(address))
-
     def snapshot_lookup(self, address: "str | IPAddress") -> Optional[str]:
         """A lookup against the bulk snapshot."""
         return self._snapshot.get(normalize_address(address))

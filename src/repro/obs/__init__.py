@@ -4,8 +4,8 @@ Zero-dependency instrumentation threaded through the whole stack:
 
 * :mod:`repro.obs.span` — hierarchical :class:`Span`/:class:`Tracer`
   with a context-manager API, monotonic timings, and
-  seeded-deterministic span ids (a serial run and a ``--parallel N``
-  run produce structurally identical trees);
+  seeded-deterministic span ids (two equal-seed runs produce
+  structurally identical trees);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and histograms populated by the fault injector, the
   tracerouter, the validators, and the perf caches;

@@ -7,13 +7,14 @@ identifiers are *seeded-deterministic*: they derive from the tracer
 seed, the span's creation index, its name, and its parent, never from
 wall-clock time or process state.  Two runs that execute the same
 stages in the same order therefore produce structurally identical span
-trees (same ids, same parents, same attributes), which is what makes a
-serial run and a ``--parallel N`` run diffable span-for-span.
+trees (same ids, same parents, same attributes), which is what makes
+two equal-seed runs diffable span-for-span.
 
-Spans are created from the orchestrating thread only.  Worker threads
-(the parallel runner's speculation pool) never open spans — that is a
-design rule, not an accident: it keeps the tree identical regardless
-of scheduling, and it keeps the tracer free of locks.
+Spans are created from the orchestrating thread only.  Supervised
+worker processes never open spans; the supervisor records its shard
+spans in shard-id order once the pool completes.  That is a design
+rule, not an accident: it keeps the tree identical regardless of
+scheduling, and it keeps the tracer free of locks.
 
 The pre-existing :class:`~repro.perf.profile.PhaseProfiler` is a view
 over this tree: its per-phase totals are :meth:`Tracer.phase_totals`.

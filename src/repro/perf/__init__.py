@@ -11,8 +11,6 @@ corpus generator the benchmark harness runs against.
 
 from repro.perf.cache import (
     InferenceCache,
-    memoization_disabled,
-    memoization_enabled,
     normalize_address,
     p2p_peer_str,
 )
@@ -21,8 +19,6 @@ from repro.perf.profile import PhaseProfiler
 __all__ = [
     "InferenceCache",
     "PhaseProfiler",
-    "memoization_disabled",
-    "memoization_enabled",
     "normalize_address",
     "p2p_peer_str",
 ]

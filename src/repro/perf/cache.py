@@ -9,8 +9,7 @@ live here:
 * **Module-level memos** (:func:`normalize_address`,
   :func:`p2p_peer_str`) for computations that are pure functions of
   their string argument — safe to share process-wide and never
-  invalidated.  :func:`memoization_disabled` turns them off so the
-  benchmark harness can measure the unmemoized baseline.
+  invalidated.
 * **:class:`InferenceCache`** for facts that are pure only *per epoch*
   of an :class:`~repro.net.dns.RdnsStore`: a combined PTR lookup
   changes when the store mutates or when a different fault injector is
@@ -26,7 +25,6 @@ timeouts), so its result is call-order dependent.
 
 from __future__ import annotations
 
-import contextlib
 import re
 import statistics
 from dataclasses import dataclass
@@ -36,9 +34,6 @@ from repro.net.addresses import p2p_peer, parse_ip
 from repro.obs.metrics import MetricsRegistry
 
 _MISS = object()
-
-#: Process-wide switch for the module-level memos (benchmark baseline).
-_enabled = True
 
 _normalize_memo: "dict[str, str]" = {}
 _p2p_memo: "dict[tuple[str, int], str | None]" = {}
@@ -52,23 +47,6 @@ _OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
 _DOTTED_QUAD = re.compile(rf"^{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}$")
 
 
-def memoization_enabled() -> bool:
-    """Whether the module-level memos are active."""
-    return _enabled
-
-
-@contextlib.contextmanager
-def memoization_disabled():
-    """Temporarily disable the module-level memos (baseline timing)."""
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
 def normalize_address(value) -> str:
     """``str(parse_ip(value))`` with a process-wide memo for strings.
 
@@ -77,7 +55,7 @@ def normalize_address(value) -> str:
     parse per hop per trace).  Non-string inputs (already-parsed
     address objects) skip the memo.
     """
-    if not isinstance(value, str) or not _enabled:
+    if not isinstance(value, str):
         return str(parse_ip(value))
     cached = _normalize_memo.get(value)
     if cached is None:
@@ -97,11 +75,6 @@ def p2p_peer_str(address: str, prefixlen: int = 30) -> "str | None":
     every caller in the inference path catches-and-skips, so the memo
     can store the failure too.
     """
-    if not _enabled:
-        try:
-            return str(p2p_peer(address, prefixlen))
-        except AddressError:
-            return None
     key = (address, prefixlen)
     cached = _p2p_memo.get(key, _MISS)
     if cached is _MISS:

@@ -338,11 +338,19 @@ class JobStore:
         journal read (stale snapshot + already-truncated journal).  The
         snapshot's stat signature changing across the reload detects
         exactly that window; a bounded retry converges because
-        compactions are rare relative to a read.
+        compactions are rare relative to a read.  The stale pair may
+        not even replay — the new journal can name a job the old
+        snapshot lacks — so a failed reload is retried in that window
+        too, and re-raised only when the snapshot held still.
         """
         for _ in range(_READONLY_RETRIES):
             before = _stat_sig(self.snapshot_path)
-            self._reload()
+            try:
+                self._reload()
+            except ServiceError:
+                if _stat_sig(self.snapshot_path) == before:
+                    raise
+                continue
             if _stat_sig(self.snapshot_path) == before:
                 return
         raise ServiceError(

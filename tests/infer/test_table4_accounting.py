@@ -6,15 +6,18 @@ Regression coverage for the pruning-accounting bugs:
   contributing IP pairs;
 * ``initial_co``/``backbone_co`` derived from ad-hoc set sums instead
   of one explicit CO-pair universe;
-* ``_mpls_separated`` trusting ``addresses.index`` (first occurrence)
-  and ignoring hop order, so reversed or duplicate-hop DPR traces
-  mis-classified pairs;
+* the DPR separation scan trusting ``addresses.index`` (first
+  occurrence) and ignoring hop order, so reversed or duplicate-hop DPR
+  traces mis-classified pairs (the corrected scan is frozen in
+  ``dpr_oracle.py``);
 * ``_backbone_tag`` accepting any ISP *prefix* (a parsed ``"com"``
   claiming ``"comcast"`` backbone adjacencies).
 """
 
 import pytest
 
+from dpr_oracle import ReferenceIndex, mpls_separated
+from repro.infer import adjacency
 from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex
 from repro.infer.ip2co import Ip2CoMapping
 from repro.measure.traceroute import Hop, TraceResult
@@ -74,11 +77,13 @@ def corpus():
 
 
 class TestTable4Exact:
-    @pytest.fixture(params=[True, False], ids=["indexed", "reference"])
-    def extractor(self, request, mapping, rdns):
-        return AdjacencyExtractor(
-            mapping, rdns, "comcast", use_followup_index=request.param
-        )
+    @pytest.fixture(params=[FollowupIndex, ReferenceIndex],
+                    ids=["indexed", "reference"])
+    def extractor(self, request, mapping, rdns, monkeypatch):
+        # "reference" answers every separation query with the oracle
+        # scan, so the rows are checked independently of the index.
+        monkeypatch.setattr(adjacency, "FollowupIndex", request.param)
+        return AdjacencyExtractor(mapping, rdns, "comcast")
 
     def test_every_row_exact(self, extractor, corpus):
         traces, followups = corpus
@@ -132,7 +137,7 @@ class TestDprOrderRegressions:
     """Shapes the first-occurrence scan mis-classified."""
 
     def _separated(self, followups, pair=(AGG1, E2)):
-        reference = AdjacencyExtractor._mpls_separated(pair, followups)
+        reference = mpls_separated(pair, followups)
         indexed = FollowupIndex(followups).separated(*pair)
         assert reference == indexed  # the index is the scan, made fast
         return indexed
@@ -178,7 +183,7 @@ class TestSilentHopSeparation:
         from repro.corpus import TraceCorpus
 
         followups = [followup]
-        reference = AdjacencyExtractor._mpls_separated(pair, followups)
+        reference = mpls_separated(pair, followups)
         indexed = FollowupIndex(followups).separated(*pair)
         columnar = FollowupIndex.from_columnar(
             TraceCorpus.from_traces(followups)

@@ -33,22 +33,43 @@ def _corpus(traces):
     return json.dumps([trace_to_dict(t) for t in traces], sort_keys=True)
 
 
+#: Health fields only the supervisor fills in (zero for a serial run).
+_SUPERVISOR_HEALTH = (
+    "shards_planned", "shards_reused", "shards_retried", "shards_poisoned",
+    "workers_spawned", "workers_crashed", "workers_stalled", "workers_slow",
+)
+
+
+def _campaign_health(runner):
+    """The runner's health without the supervisor's own bookkeeping."""
+    health = runner.health.as_dict()
+    for name in _SUPERVISOR_HEALTH:
+        health.pop(name)
+    return health
+
+
+def _substrate(plan_kwargs=None):
+    tracer, vps = toy_substrate(hosts=3)
+    if plan_kwargs:
+        tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
+    return tracer, vps
+
+
+def _serial(plan_kwargs=None, **kwargs):
+    tracer, vps = _substrate(plan_kwargs)
+    runner = CampaignRunner(tracer, list(vps.values()), **kwargs)
+    return _corpus(runner.run(_jobs(vps), stage="s")), runner
+
+
 def _serial_corpus(plan_kwargs=None):
-    tracer, vps = toy_substrate(hosts=3)
-    if plan_kwargs:
-        tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
-    return _corpus(CampaignRunner(tracer, list(vps.values())).run(
-        _jobs(vps), stage="s"
-    ))
+    return _serial(plan_kwargs)[0]
 
 
-def _supervised(plan_kwargs=None, checkpoint=None, **kwargs):
-    tracer, vps = toy_substrate(hosts=3)
-    if plan_kwargs:
-        tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
+def _supervised(plan_kwargs=None, checkpoint=None, workers=2, **kwargs):
+    tracer, vps = _substrate(plan_kwargs)
     runner = SupervisedCampaignRunner(
         tracer, list(vps.values()), worker_spec=SPEC, checkpoint=checkpoint,
-        workers=2, shard_size=10, **kwargs,
+        workers=workers, shard_size=10, **kwargs,
     )
     traces = runner.run(_jobs(vps), stage="s")
     return _corpus(traces), runner
@@ -76,6 +97,54 @@ class TestFaultFreeParity:
         assert runner.health.shards_poisoned == 0
         assert runner.health.workers_crashed == 0
         assert not runner.health.degraded
+
+    def test_three_worker_corpus_byte_identical_to_serial(self):
+        corpus, runner = _supervised(workers=3)
+        assert corpus == _serial_corpus()
+        assert runner.health.shards_poisoned == 0
+
+    def test_health_counters_match_serial(self):
+        _corpus_text, runner = _supervised()
+        _serial_text, serial = _serial()
+        assert _campaign_health(runner) == _campaign_health(serial)
+
+    def test_single_worker_degenerates_cleanly(self):
+        corpus, runner = _supervised(workers=1)
+        assert corpus == _serial_corpus()
+        assert runner.health.workers_spawned == 1
+
+
+class TestFaultedParity:
+    """Probe-path faults replay onto the canonical tracer and injector,
+    so corpus *and* health match the serial runner's."""
+
+    def _assert_parity(self, plan):
+        corpus, runner = _supervised(plan)
+        reference, serial = _serial(plan)
+        assert corpus == reference
+        assert _campaign_health(runner) == _campaign_health(serial)
+        return runner.health
+
+    def test_probe_loss_parity(self):
+        health = self._assert_parity(
+            dict(seed=7, probe_loss=0.15, rdns_timeout=0.1)
+        )
+        assert health.fault_stats["rdns_timeouts"] > 0
+
+    def test_vp_death_and_failover_parity(self):
+        # VP death reorders work across VPs — the hard case.  The doomed
+        # VP's unconsumed speculations must be discarded and its failed-
+        # over jobs re-probed synchronously under the stand-in's identity.
+        health = self._assert_parity(
+            dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)
+        )
+        assert health.vps_lost  # the scenario actually exercised death
+        assert health.targets_reassigned > 0
+
+    def test_lsp_flap_parity(self):
+        # The toy diamond has no LSPs, so only the plan's probe loss
+        # fires here; an active flap plan must still not perturb replay.
+        self._assert_parity(dict(seed=11, lsp_flap=0.3, probe_loss=0.05))
 
 
 class TestCrashRecovery:
@@ -141,6 +210,42 @@ class TestCheckpointResume:
         assert corpus == _serial_corpus()
         # Replay completed the stage: parked payloads are dropped.
         assert resumed.shard_results("s") == {}
+
+    PLAN = dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)
+
+    def _resume(self, path):
+        tracer, vps = _substrate(self.PLAN)
+        runner = SupervisedCampaignRunner.resumed(
+            tracer, list(vps.values()), CampaignCheckpoint.load(path),
+            worker_spec=SPEC, workers=2, shard_size=10,
+        )
+        return _corpus(runner.run(_jobs(vps), stage="s")), runner
+
+    def test_resume_converges_on_serial_output(self, tmp_path):
+        # Kill a supervised campaign mid-stage, then resume it under
+        # the supervisor, as a new process would.
+        from repro.errors import CampaignInterrupted
+
+        path = tmp_path / "camp.json"
+        with pytest.raises(CampaignInterrupted):
+            _supervised(self.PLAN, checkpoint=CampaignCheckpoint(path),
+                        stop_after=5)
+        corpus, resumed = self._resume(path)
+        assert corpus == _serial_corpus(self.PLAN)
+        assert resumed.health.resumed
+
+    def test_serial_checkpoint_resumable_under_supervisor(self, tmp_path):
+        # Mixed mode: a serial campaign's checkpoint picked up by the
+        # supervised runner (an operator adds --workers when resuming).
+        from repro.errors import CampaignInterrupted
+
+        path = tmp_path / "camp.json"
+        with pytest.raises(CampaignInterrupted):
+            _serial(self.PLAN, checkpoint=CampaignCheckpoint(path),
+                    stop_after=5)
+        corpus, resumed = self._resume(path)
+        assert corpus == _serial_corpus(self.PLAN)
+        assert resumed.health.resumed
 
 
 class TestPacing:

@@ -36,7 +36,7 @@ def _sample_manifest():
     return build_run_manifest(
         command="map-cable",
         seed=3,
-        parameters={"isp": "comcast", "sweep_vps": 6, "parallel": 0},
+        parameters={"isp": "comcast", "sweep_vps": 6, "workers": 0},
         tracer=tracer,
         metrics=metrics,
         artifacts={"denver": '{"kind": "cable-region"}'},

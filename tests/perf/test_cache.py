@@ -1,17 +1,14 @@
-"""InferenceCache and module-level memos: correctness under mutation,
-fault-injector swaps, and the benchmark's disable switch."""
+"""InferenceCache and module-level memos: correctness under mutation
+and fault-injector swaps, and agreement with the unmemoized address
+functions."""
 
 import pytest
 
+from repro.errors import AddressError
 from repro.faults import FaultInjector, FaultPlan
+from repro.net.addresses import p2p_peer, parse_ip
 from repro.net.dns import RdnsStore
-from repro.perf import (
-    InferenceCache,
-    memoization_disabled,
-    memoization_enabled,
-    normalize_address,
-    p2p_peer_str,
-)
+from repro.perf import InferenceCache, normalize_address, p2p_peer_str
 from repro.rdns.regexes import HostnameParser
 
 NAME = "ae-1-ar01.aggco.co.denver.comcast.net"
@@ -32,12 +29,11 @@ def cache(rdns):
 
 class TestModuleMemos:
     def test_normalize_matches_uncached(self):
-        values = ["10.0.0.1", "192.168.1.1", "2001:db8::1"]
-        with memoization_disabled():
-            baseline = [normalize_address(v) for v in values]
-        assert [normalize_address(v) for v in values] == baseline
+        values = ["10.0.0.1", "192.168.1.1", "2001:db8::1", "2001:DB8:0::1"]
+        expected = [str(parse_ip(v)) for v in values]
+        assert [normalize_address(v) for v in values] == expected
         # Second pass hits the memo; answers must not drift.
-        assert [normalize_address(v) for v in values] == baseline
+        assert [normalize_address(v) for v in values] == expected
 
     def test_p2p_peer_memoizes_failures(self):
         # A /30 network address has no peer: None both times.
@@ -45,12 +41,18 @@ class TestModuleMemos:
         assert p2p_peer_str("10.0.0.0") is None
         assert p2p_peer_str("10.0.0.1") == "10.0.0.2"
 
-    def test_disable_switch_restores(self):
-        assert memoization_enabled()
-        with memoization_disabled():
-            assert not memoization_enabled()
-            assert normalize_address("10.0.0.1") == "10.0.0.1"
-        assert memoization_enabled()
+    @pytest.mark.parametrize("prefixlen", [30, 31])
+    def test_p2p_peer_matches_uncached(self, prefixlen):
+        # Every last octet of a /24 (the dotted-quad fast path), plus an
+        # IPv6 address (the slow path), against the unmemoized peer.
+        values = [f"10.1.2.{last}" for last in range(256)] + ["2001:db8::1"]
+        for value in values:
+            try:
+                expected = str(p2p_peer(value, prefixlen))
+            except AddressError:
+                expected = None
+            assert p2p_peer_str(value, prefixlen) == expected
+            assert p2p_peer_str(value, prefixlen) == expected
 
 
 class TestLookupInvalidation:

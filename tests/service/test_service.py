@@ -1,6 +1,7 @@
 """CampaignService: retries, backpressure, degradation, drain, leases."""
 
 import json
+import time
 
 import pytest
 
@@ -270,6 +271,20 @@ class TestLeases:
     def test_heartbeat_extends_the_lease_during_execution(self, tmp_path):
         service = _service(tmp_path, lease_s=0.05)
         record, _ = service.submit(_toy(seed=3, targets=30, hosts=3))
+        execute = service.executor.execute
+
+        def slow_execute(*args, **kwargs):
+            # The toy job can finish inside the first heartbeat interval
+            # (lease_s / 3); hold the attempt open until two heartbeats
+            # have extended the lease, capped so a broken heartbeat
+            # fails the assertion below instead of hanging.
+            deadline = time.monotonic() + 5.0
+            while (service.metrics.counter_value("service.heartbeats") < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return execute(*args, **kwargs)
+
+        service.executor.execute = slow_execute
         service.run(until_idle=True)
         final = service.store.jobs[record.job_id]
         assert final.state == "done"

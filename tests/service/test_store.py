@@ -249,6 +249,37 @@ class TestAccessControl:
         reader.close()
         store.close()
 
+    def test_readonly_open_retries_when_compaction_outruns_it(
+        self, tmp_path, monkeypatch
+    ):
+        # The reader loads the old snapshot; before it reads the journal
+        # a writer submits X, compacts (X moves into the new snapshot)
+        # and claims X.  The new journal's "start X" names a job the old
+        # snapshot lacks, so that replay fails; the open must retry it.
+        store = _store(tmp_path)
+        store.submit(JobSpec(seed=20, targets=4))
+        store.compact()
+        claimed = []
+        load_snapshot = JobStore._load_snapshot
+
+        def racing_load_snapshot(self):
+            seq = load_snapshot(self)
+            if self.readonly and not claimed:
+                record, _ = store.submit(JobSpec(seed=21, targets=4))
+                store.compact()
+                token = store.try_claim(record.job_id, "e1",
+                                        expires_at=1e12, now=store.clock())
+                assert token is not None
+                claimed.append(record.job_id)
+            return seq
+
+        monkeypatch.setattr(JobStore, "_load_snapshot", racing_load_snapshot)
+        reader = _store(tmp_path, readonly=True)
+        assert reader.jobs[claimed[0]].state == "running"
+        assert reader.seq == store.seq
+        reader.close()
+        store.close()
+
     def test_readonly_open_does_not_repair_a_torn_tail(self, tmp_path):
         store = _store(tmp_path)
         store.submit(JobSpec(seed=11, targets=4))
