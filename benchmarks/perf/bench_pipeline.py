@@ -277,18 +277,13 @@ def run_measurement_section() -> "dict":
     from repro.infer.pipeline import CableInferencePipeline
     from repro.io.checkpoint import trace_to_dict
     from repro.measure.runner import CampaignRunner
-    from repro.measure.substrates import WorkerSpec
+    from repro.measure.substrates import cable_campaign
     from repro.measure.supervisor import SupervisedCampaignRunner
-    from repro.topology.internet import SimulatedInternet
 
     def build():
-        internet = SimulatedInternet(
-            seed=MEASUREMENT["seed"], include_telco=False,
-            include_mobile=False,
-        )
+        internet, fleet, worker_spec = cable_campaign(seed=MEASUREMENT["seed"])
         pipeline = CableInferencePipeline(
-            internet.network, internet.comcast,
-            list(internet.build_standard_vps()),
+            internet.network, internet.comcast, fleet,
             sweep_vps=MEASUREMENT["sweep_vps"],
             pace_ms=MEASUREMENT["pace_ms"],
         )
@@ -297,14 +292,14 @@ def run_measurement_section() -> "dict":
             (vp, target)
             for vp in sweep for target in pipeline.slash24_targets()
         ][:MEASUREMENT["jobs"]]
-        return pipeline, jobs
+        return pipeline, jobs, worker_spec
 
     def digest(traces) -> str:
         blob = json.dumps([trace_to_dict(t) for t in traces],
                           sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    pipeline, jobs = build()
+    pipeline, jobs, _worker_spec = build()
     start = time.perf_counter()
     serial_traces = CampaignRunner(pipeline.tracer, pipeline.vps).run(
         jobs, stage="slash24"
@@ -312,15 +307,10 @@ def run_measurement_section() -> "dict":
     serial_s = round(time.perf_counter() - start, 3)
     serial_digest = digest(serial_traces)
 
-    pipeline, jobs = build()
+    pipeline, jobs, worker_spec = build()
     supervised = SupervisedCampaignRunner(
         pipeline.tracer, pipeline.vps,
-        worker_spec=WorkerSpec(
-            "repro.measure.substrates:cable_substrate",
-            {"seed": MEASUREMENT["seed"], "include_telco": False,
-             "include_mobile": False},
-        ),
-        workers=MEASUREMENT["workers"],
+        worker_spec=worker_spec, workers=MEASUREMENT["workers"],
     )
     start = time.perf_counter()
     supervised_traces = supervised.run(jobs, stage="slash24")

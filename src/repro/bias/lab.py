@@ -42,6 +42,11 @@ from repro.measure.traceroute import Tracerouter
 from repro.net.router import _stable_hash
 from repro.obs import MetricsRegistry, Tracer
 from repro.rdns.regexes import HostnameParser
+from repro.topology.isp import (
+    regional_co_addresses,
+    slash24_targets_by_region,
+    split_vps,
+)
 
 
 @dataclass
@@ -149,11 +154,9 @@ class BiasLab:
         doubleton spectrum to extrapolate from.
         """
         targets = []
-        for region_name in sorted(self.isp.region_prefixes):
-            region_targets = []
-            for prefix in self.isp.region_prefixes[region_name]:
-                for subnet in prefix.subnets(new_prefix=24):
-                    region_targets.append(str(subnet.network_address + 1))
+        for region_name, region_targets in slash24_targets_by_region(
+            self.isp
+        ).items():
             rng = random.Random(f"bias-lab|{self.seed}|{salt}|{region_name}")
             if len(region_targets) > self.targets_per_region:
                 region_targets = rng.sample(
@@ -172,12 +175,9 @@ class BiasLab:
         target sweep.  Each VP draws ``rdns_fraction`` of the snapshot
         addresses whose name parses as a regional CO of this ISP.
         """
-        candidates = []
-        rdns = self.internet.network.rdns
-        for address, hostname in rdns.snapshot_items():
-            if self.parser.regional_co(hostname, self.isp_name) is not None:
-                candidates.append(address)
-        candidates.sort()
+        candidates = sorted(regional_co_addresses(
+            self.isp, self.internet.network.rdns, self.parser
+        ))
         count = int(len(candidates) * self.rdns_fraction)
         if count >= len(candidates):
             return candidates
@@ -186,15 +186,13 @@ class BiasLab:
 
     def _collect(self) -> "tuple[list, int]":
         """The seeded campaign: N external VPs, each probing its own
-        per-region target sample.  Returns (traces, distinct targets)."""
-        import ipaddress
+        per-region target sample.  Returns (traces, distinct targets).
 
-        pool = ipaddress.ip_network(str(self.isp.allocator.pool))
-        external = [
-            vp for vp in self.vps
-            if ipaddress.ip_address(vp.src_address) not in pool
-        ]
-        probers = external[: self.vp_count]
+        The lab's route model is swapped in around this campaign alone,
+        so the placement section scores forwarding paths under the
+        network's own routing.
+        """
+        probers = split_vps(self.isp, self.vps)[0][: self.vp_count]
         tracer = Tracerouter(self.internet.network, attempts=1)
         network = self.internet.network
         saved_model = network.route_model

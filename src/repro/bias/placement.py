@@ -15,12 +15,12 @@ reported gain is attributable to placement alone.
 
 from __future__ import annotations
 
-import ipaddress
 import random
 from dataclasses import dataclass, field
 
 from repro.errors import RoutingError
 from repro.net.router import _stable_hash
+from repro.topology.isp import slash24_targets_by_region, split_vps
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ class VpPlacementOptimizer:
         self.isp = isp
         self.network = internet.network
         self.seed = seed
-        pool = ipaddress.ip_network(str(isp.allocator.pool))
-        self.candidates = [
-            vp for vp in vps
-            if ipaddress.ip_address(vp.src_address) not in pool
-        ]
+        self.candidates = split_vps(isp, vps)[0]
         self.targets = self._sample_targets(targets_per_region)
         self.truth_edges = self._truth_edges()
         self._coverage: "dict[str, frozenset]" = {}
@@ -104,11 +100,9 @@ class VpPlacementOptimizer:
     def _sample_targets(self, per_region: int) -> "list[str]":
         """A seeded spread of one-per-/24 probe addresses per region."""
         targets = []
-        for region_name in sorted(self.isp.region_prefixes):
-            region_targets = []
-            for prefix in self.isp.region_prefixes[region_name]:
-                for subnet in prefix.subnets(new_prefix=24):
-                    region_targets.append(str(subnet.network_address + 1))
+        for region_name, region_targets in slash24_targets_by_region(
+            self.isp
+        ).items():
             rng = random.Random(f"bias-place|{self.seed}|{region_name}")
             if len(region_targets) > per_region:
                 region_targets = rng.sample(region_targets, per_region)

@@ -83,16 +83,13 @@ def cmd_map_cable(args) -> int:
     from repro.infer.pipeline import CableInferencePipeline
     from repro.io.atomic import atomic_write_text
     from repro.io.export import region_to_dot, region_to_json
+    from repro.measure.substrates import cable_campaign
     from repro.validate.quarantine import quarantine_report_to_json
 
-    internet = _build_internet(args, include_telco=False, include_mobile=False)
+    internet, fleet, worker_spec = cable_campaign(
+        seed=args.seed, route_model=args.route_model
+    )
     isp = getattr(internet, args.isp)
-    fleet = list(internet.build_standard_vps())
-    route_model = None
-    if args.route_model != "spf":
-        from repro.bias.routemodel import build_route_model
-
-        route_model = build_route_model(internet, args.route_model)
     faults = None
     if (args.faults or args.vp_dropouts or args.stale_rdns
             or args.worker_crash or args.worker_stall or args.worker_slow):
@@ -106,17 +103,6 @@ def cmd_map_cable(args) -> int:
             worker_stall=args.worker_stall,
             worker_slow=args.worker_slow,
         )
-    worker_spec = None
-    if args.workers > 1:
-        from repro.measure.substrates import WorkerSpec
-
-        # Workers rebuild exactly the substrate this command built:
-        # same seed, same build flags.
-        worker_spec = WorkerSpec(
-            "repro.measure.substrates:cable_substrate",
-            {"seed": args.seed, "include_telco": False,
-             "include_mobile": False},
-        )
     pipeline = CableInferencePipeline(
         internet.network, isp, fleet, sweep_vps=args.sweep_vps,
         attempts=args.attempts, faults=faults,
@@ -126,7 +112,7 @@ def cmd_map_cable(args) -> int:
         worker_spec=worker_spec, shard_deadline=args.shard_deadline,
         max_shard_retries=args.max_shard_retries, pace_ms=args.pace_ms,
         profile=args.profile, trace_seed=args.seed,
-        corpus_format=args.corpus_format, route_model=route_model,
+        corpus_format=args.corpus_format,
     )
     result = pipeline.run()
     if args.corpus_out:
@@ -339,12 +325,10 @@ def cmd_resilience(args) -> int:
         label = f"{args.from_json} ({len(regions)} artifacts)"
     else:
         from repro.infer.pipeline import CableInferencePipeline
+        from repro.measure.substrates import cable_campaign
 
-        internet = _build_internet(
-            args, include_telco=False, include_mobile=False
-        )
+        internet, fleet, _worker_spec = cable_campaign(seed=args.seed)
         isp = getattr(internet, args.isp)
-        fleet = list(internet.build_standard_vps())
         regions = CableInferencePipeline(
             internet.network, isp, fleet, sweep_vps=args.sweep_vps,
             validate=args.validate,

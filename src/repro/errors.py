@@ -25,10 +25,6 @@ class CampaignError(MeasurementError):
     """A campaign could not make progress (fleet exhausted, bad state)."""
 
 
-class VantagePointLost(CampaignError):
-    """A vantage point disappeared mid-campaign (dropout or flap)."""
-
-
 class CampaignInterrupted(CampaignError):
     """A campaign was stopped mid-run; a checkpoint holds its progress."""
 
@@ -39,10 +35,6 @@ class CheckpointError(ReproError):
 
 class ServiceError(ReproError):
     """The campaign service hit unusable state (corrupt journal, bad spec)."""
-
-
-class AdmissionRejected(ServiceError):
-    """A job submission was rejected by admission control (queue full)."""
 
 
 class InferenceError(ReproError):

@@ -82,7 +82,6 @@ class FaultInjector:
         self._vp_probes: "dict[str, int]" = {}
         self._doomed: "set[str]" = set()
         self._dead: "set[str]" = set()
-        self._rdns_calls: "dict[str, int]" = {}
         #: Donor hostnames for stale-rDNS injection (built lazily from
         #: the store's snapshot; stable for the campaign's duration).
         self._stale_donors: "list[str] | None" = None
@@ -103,17 +102,13 @@ class FaultInjector:
             return True
         return False
 
-    def rdns_timeout(self, address: str, token: object = None) -> bool:
-        """Whether this ``dig`` times out; transient across retries.
+    def rdns_timeout(self, address: str, token: object) -> bool:
+        """Whether the ``dig`` for *address* keyed by *token* times out.
 
-        Callers on the probe path pass their probe key as *token* so
-        the decision is order-independent; bare callers fall back to a
-        per-address call counter (still deterministic for a fixed call
-        sequence).
+        The decision depends only on ``(address, token)`` — never on
+        call order — so a resumed or sharded campaign repeats it
+        exactly; retries stay transient by using fresh tokens.
         """
-        if token is None:
-            token = self._rdns_calls.get(address, 0)
-            self._rdns_calls[address] = token + 1
         if self.plan.rdns_timed_out(address, token):
             self.stats.rdns_timeouts += 1
             return True

@@ -172,7 +172,10 @@ class AttInferencePipeline:
             for address, hop_region in self._segment_regions(trace):
                 if hop_region != region:
                     continue
-                if self.parser.parse(self.network.rdns.dig(address)) is not None:
+                name = self.network.rdns.dig(
+                    address, fault_key=("router-prefixes", region)
+                )
+                if self.parser.parse(name) is not None:
                     continue  # named hop: backbone or lspgw
                 net = str(ipaddress.ip_network(f"{address}/24", strict=False))
                 if net in lspgw_nets:

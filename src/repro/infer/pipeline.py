@@ -20,7 +20,6 @@ inference (§5.2.5), and aggregation-type classification (Table 1).
 from __future__ import annotations
 
 import contextlib
-import ipaddress
 import pathlib
 from dataclasses import dataclass, field
 
@@ -41,12 +40,20 @@ from repro.net.network import Network
 from repro.obs import MetricsRegistry, Tracer
 from repro.perf import InferenceCache, PhaseProfiler
 from repro.rdns.regexes import HostnameParser
+from repro.topology.isp import (
+    regional_co_addresses,
+    slash24_targets_by_region,
+    split_vps,
+)
 from repro.validate.invariants import InvariantGuard
 from repro.validate.quarantine import QuarantineReport
 
 
 #: Re-export under the historical name used across examples/benchmarks.
 InferredRegion = RefinedRegion
+
+#: Inside-the-ISP VPs kept in the fleet, spread evenly over those given.
+MAX_INTERNAL_VPS = 4
 
 
 @dataclass
@@ -72,12 +79,6 @@ class CableInferenceResult:
             for name, region in sorted(self.regions.items())
         }
 
-    def region_sizes(self) -> "dict[str, int]":
-        return {
-            name: region.graph.number_of_nodes()
-            for name, region in sorted(self.regions.items())
-        }
-
 
 class CableInferencePipeline:
     """Drives the full two-phase methodology against one cable ISP."""
@@ -88,8 +89,6 @@ class CableInferencePipeline:
         isp,
         vps: "list[VantagePoint]",
         sweep_vps: int = 12,
-        max_internal_vps: int = 4,
-        parser: "HostnameParser | None" = None,
         attempts: int = 1,
         faults: "FaultPlan | None" = None,
         checkpoint_path=None,
@@ -100,14 +99,12 @@ class CableInferencePipeline:
         validate: str = "off",
         workers: int = 0,
         worker_spec=None,
-        shard_size: "int | None" = None,
         shard_deadline: float = 60.0,
         max_shard_retries: int = 2,
         pace_ms: float = 0.0,
         profile: bool = False,
         trace_seed: int = 0,
         corpus_format: str = "json",
-        route_model=None,
     ) -> None:
         if not vps:
             raise MeasurementError("the pipeline needs at least one vantage point")
@@ -119,43 +116,23 @@ class CableInferencePipeline:
         # inside VPs stays in the fleet (the paper's 47 VPs included
         # access-network homes) — they are what reveals direct
         # inter-region links that external paths never ride (§5.2.5).
-        pool = ipaddress.ip_network(str(isp.allocator.pool))
-        external = [
-            vp for vp in vps
-            if ipaddress.ip_address(vp.src_address) not in pool
-        ]
-        internal = [
-            vp for vp in vps
-            if ipaddress.ip_address(vp.src_address) in pool
-        ]
-        if internal and max_internal_vps > 0:
-            count = min(max_internal_vps, len(internal))
+        external, internal = split_vps(isp, vps)
+        picked = []
+        if internal:
+            count = min(MAX_INTERNAL_VPS, len(internal))
             step = (len(internal) - 1) / max(1, count - 1)
             picked = [internal[round(i * step)] for i in range(count)]
-        else:
-            picked = []
         self.vps = external + picked
         if not external:
             raise MeasurementError(
                 f"all vantage points are inside {isp.name}; none usable"
             )
         self.sweep_vps = max(1, min(sweep_vps, len(self.vps)))
-        self.parser = parser or HostnameParser()
+        self.parser = HostnameParser()
         self.attempts = max(1, attempts)
         self.tracer = Tracerouter(network, attempts=self.attempts,
                                   pace_ms=pace_ms)
         self.faults = faults
-        #: Optional policy route model (see :mod:`repro.bias.routemodel`)
-        #: attached to the network for the campaign's duration; None
-        #: keeps the default delay-weighted SPF.  Collection must be
-        #: in-process: supervised workers rebuild the substrate from
-        #: ``worker_spec`` and would silently probe under plain SPF.
-        self.route_model = route_model
-        if route_model is not None and workers > 1:
-            raise MeasurementError(
-                "route_model campaigns cannot use supervised workers: "
-                "worker processes rebuild the substrate without the model"
-            )
         self.checkpoint_path = checkpoint_path
         self.resume = resume
         self.min_vps = min_vps
@@ -169,11 +146,10 @@ class CableInferencePipeline:
         self.runner: "CampaignRunner | None" = None
         #: Supervised process sharding: 0/1 = the serial CampaignRunner,
         #: N>1 = a SupervisedCampaignRunner with N spawned workers
-        #: rebuilding their substrate from ``worker_spec`` (byte-identical
-        #: corpus, crash-tolerant).
+        #: rebuilding their substrate — routing policy included — from
+        #: ``worker_spec`` (byte-identical corpus, crash-tolerant).
         self.workers = max(0, workers)
         self.worker_spec = worker_spec
-        self.shard_size = shard_size
         self.shard_deadline = shard_deadline
         self.max_shard_retries = max_shard_retries
         if self.workers > 1 and self.worker_spec is None:
@@ -211,12 +187,11 @@ class CableInferencePipeline:
     # ------------------------------------------------------------------
     def slash24_targets(self) -> "list[str]":
         """One probe address per /24 of every announced region prefix."""
-        targets = []
-        for region_name in sorted(self.isp.region_prefixes):
-            for prefix in self.isp.region_prefixes[region_name]:
-                for subnet in prefix.subnets(new_prefix=24):
-                    targets.append(str(subnet.network_address + 1))
-        return targets
+        return [
+            target
+            for targets in slash24_targets_by_region(self.isp).values()
+            for target in targets
+        ]
 
     def rdns_targets(self) -> "list[str]":
         """Every snapshot address whose name parses as an ISP regional CO.
@@ -230,10 +205,9 @@ class CableInferencePipeline:
             memo_epoch, targets = self._rdns_targets_memo
             if memo_epoch == epoch:
                 return list(targets)
-        targets = []
-        for address, hostname in self.network.rdns.snapshot_items():
-            if self.parser.regional_co(hostname, self.isp.name) is not None:
-                targets.append(address)
+        targets = regional_co_addresses(
+            self.isp, self.network.rdns, self.parser
+        )
         self._rdns_targets_memo = (epoch, list(targets))
         return targets
 
@@ -242,23 +216,20 @@ class CableInferencePipeline:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def _fault_context(self):
-        """Attach the fault plan and route model for the campaign.
+        """Attach the fault plan for the campaign.
 
-        Restores whatever injector (usually None) and route model were
-        attached before, so a shared Network fixture is never left
-        perturbed.
+        Restores whatever injector (usually None) was attached before,
+        so a shared Network fixture is never left perturbed.  Routing
+        follows whatever model the network carries: the route model is
+        part of the substrate, not of the campaign.
         """
         previous = self.network.faults
-        previous_model = self.network.route_model
         if self.faults is not None and self.faults.active:
             self.network.attach_faults(FaultInjector(self.faults))
-        if self.route_model is not None:
-            self.network.route_model = self.route_model
         try:
             yield
         finally:
             self.network.attach_faults(previous)
-            self.network.route_model = previous_model
 
     def _make_runner(self) -> CampaignRunner:
         """Build (or resume) the campaign runner shared by all sweeps."""
@@ -274,7 +245,6 @@ class CableInferencePipeline:
             runner_cls = SupervisedCampaignRunner
             options["worker_spec"] = self.worker_spec
             options["workers"] = self.workers
-            options["shard_size"] = self.shard_size
             options["shard_deadline"] = self.shard_deadline
             options["max_shard_retries"] = self.max_shard_retries
             options["quarantine"] = (

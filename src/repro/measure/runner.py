@@ -328,42 +328,6 @@ class CampaignRunner:
             span.attributes["skipped"] = self.health.targets_skipped
             return traces
 
-    def run_corpus(
-        self,
-        jobs: "list[tuple[VantagePoint, str]]",
-        stage: str = "campaign",
-        flow_id: int = 0,
-        keep_empty: bool = False,
-    ):
-        """:meth:`run`, assembled into a columnar
-        :class:`~repro.corpus.columnar.TraceCorpus`.
-
-        This is the corpus-ingestion entry point: downstream vectorized
-        inference (``extract_columnar``/``build_columnar``) consumes
-        the result directly, with no per-trace object traversal in
-        between.  Checkpoint/resume semantics are exactly those of
-        :meth:`run`.
-        """
-        from repro.corpus import TraceCorpus
-
-        traces = self.run(
-            jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
-        )
-        if self.obs is not None:
-            with self.obs.span(f"corpus:{stage}", traces=len(traces)) as span:
-                corpus = TraceCorpus.from_traces(traces)
-                span.attributes["hops"] = corpus.hop_count
-                span.attributes["addresses"] = len(corpus.addresses)
-        else:
-            corpus = TraceCorpus.from_traces(traces)
-        if self.metrics is not None:
-            self.metrics.inc("corpus.traces", len(corpus))
-            self.metrics.inc("corpus.hops", corpus.hop_count)
-            self.metrics.set_gauge(
-                "corpus.interned_addresses", len(corpus.addresses)
-            )
-        return corpus
-
     def _run_stage(
         self,
         jobs: "list[tuple[VantagePoint, str]]",

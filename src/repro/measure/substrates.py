@@ -4,7 +4,8 @@ A supervised worker runs in a *spawned* process: it shares no memory
 with the supervisor, so it must rebuild its own measurement substrate
 — network, vantage points, tracer — from a picklable description.
 Because every substrate in this repo is a pure function of its seed
-and build flags, that description is just ``(factory, kwargs)``:
+and build flags — the routing policy included — that description is
+just ``(factory, kwargs)``:
 a :class:`WorkerSpec` names a module-level factory by dotted path and
 carries its keyword arguments, and the worker resolves and calls it
 after the spawn.
@@ -15,6 +16,10 @@ network, plus every vantage point the campaign's jobs may reference,
 keyed by name.  The supervisor overrides the tracer's probe parameters
 (max_ttl, attempts, backoff) with the canonical run's values, so a
 factory never needs to replicate campaign configuration.
+
+Cable campaigns build their in-process substrate with
+:func:`cable_campaign`, which also returns the :class:`WorkerSpec` that
+rebuilds it, so the two sides share one recipe.
 """
 
 from __future__ import annotations
@@ -118,20 +123,40 @@ def toy_substrate(hosts: int = 3):
     return Tracerouter(net), vps
 
 
-def cable_substrate(seed: int = 0, include_cable: bool = True,
-                    include_telco: bool = True, include_mobile: bool = True):
-    """The full simulated internet with the standard 47-VP fleet.
+def cable_campaign(seed: int = 0, route_model: str = "spf",
+                   include_telco: bool = False, include_mobile: bool = False):
+    """Build a cable campaign's substrate: ``(internet, fleet, worker_spec)``.
 
-    Build flags must match the supervisor-side build exactly — the
-    substrate is deterministic in (seed, flags), and any divergence
-    would break the byte-identical-to-serial guarantee.
+    The substrate is the simulated internet (cable ISPs only unless the
+    flags ask for more), the standard 47-VP fleet and the routing
+    policy: a non-``spf`` *route_model* (see
+    :mod:`repro.bias.routemodel`) is attached to the network after the
+    fleet is built.  *worker_spec* rebuilds exactly this substrate in a
+    spawned worker, so in-process and supervised probing cannot drift.
     """
-    from repro.measure.traceroute import Tracerouter
     from repro.topology.internet import SimulatedInternet
 
     internet = SimulatedInternet(
-        seed=seed, include_cable=include_cable, include_telco=include_telco,
-        include_mobile=include_mobile,
+        seed=seed, include_telco=include_telco, include_mobile=include_mobile,
     )
-    vps = {vp.name: vp for vp in internet.build_standard_vps()}
-    return Tracerouter(internet.network), vps
+    fleet = list(internet.build_standard_vps())
+    if route_model != "spf":
+        # Imported only when asked for: the bias package pulls in numpy,
+        # which spf campaigns and their workers never load.
+        from repro.bias.routemodel import build_route_model
+
+        internet.network.route_model = build_route_model(internet, route_model)
+    worker_spec = WorkerSpec(
+        "repro.measure.substrates:cable_substrate",
+        {"seed": seed, "route_model": route_model,
+         "include_telco": include_telco, "include_mobile": include_mobile},
+    )
+    return internet, fleet, worker_spec
+
+
+def cable_substrate(**build_flags):
+    """The worker-side view of :func:`cable_campaign`'s build."""
+    from repro.measure.traceroute import Tracerouter
+
+    internet, fleet, _spec = cable_campaign(**build_flags)
+    return Tracerouter(internet.network), {vp.name: vp for vp in fleet}

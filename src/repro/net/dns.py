@@ -72,9 +72,10 @@ class RdnsStore:
     def dig(self, address: "str | IPAddress", fault_key: object = None) -> Optional[str]:
         """A live PTR query; may time out transiently under fault injection.
 
-        *fault_key* lets probe-path callers key the timeout decision on
-        the probe identity (order-independent, hence checkpoint-safe);
-        bare callers leave it None and get a per-address call counter.
+        The timeout decision is keyed on ``(address, fault_key)`` alone,
+        so it is call-order independent (hence checkpoint-safe).  Probe-
+        path callers pass the probe identity; other callers name the
+        lookup event they make.
         """
         key = normalize_address(address)
         if self.faults is not None and self.faults.rdns_timeout(key, fault_key):

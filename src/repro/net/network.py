@@ -324,10 +324,6 @@ class Network:
     # ------------------------------------------------------------------
     # Convenience iteration
     # ------------------------------------------------------------------
-    def routers_where(self, predicate) -> "list[Router]":
-        """All routers satisfying *predicate* (ground-truth helpers)."""
-        return [r for r in self.routers.values() if predicate(r)]
-
     def all_addresses(self) -> Iterable[str]:
         """Every assigned interface address."""
         return self._addr_owner.keys()

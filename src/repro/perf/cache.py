@@ -19,8 +19,8 @@ live here:
   the uncached path would produce.
 
 What is deliberately **not** cached: ``RdnsStore.dig`` — under fault
-injection a bare dig consults a per-address call counter (transient
-timeouts), so its result is call-order dependent.
+injection its transient timeouts are keyed on the caller's event key,
+so one address can answer differently for different events.
 """
 
 from __future__ import annotations

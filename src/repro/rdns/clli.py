@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.topology.geography import Geography, clli_city_code
-
 _CLLI_RE = re.compile(r"^([A-Z]{4})([A-Z]{2})(\w*)$", re.IGNORECASE)
 
 #: The 50 states + DC, for validating the state part of a CLLI.
@@ -57,13 +55,3 @@ def clli_state(text: str) -> Optional[str]:
     """The state encoded in a CLLI-style string, if valid."""
     parsed = parse_clli(text)
     return parsed.state if parsed else None
-
-
-def geolocate_clli(code: Clli, geography: Geography):
-    """Best-effort metro lookup for a CLLI city code (None if unknown)."""
-    for city in geography.cities_in(code.state) if code.state in {
-        c for c in geography.states()
-    } else []:
-        if clli_city_code(city.name) == code.city_code:
-            return city
-    return None

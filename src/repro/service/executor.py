@@ -224,29 +224,19 @@ class JobExecutor:
                        stage_dir: pathlib.Path) -> ExecutionResult:
         from repro.infer.pipeline import CableInferencePipeline
         from repro.io.export import region_to_json
-        from repro.measure.substrates import WorkerSpec
-        from repro.topology.internet import SimulatedInternet
+        from repro.measure.substrates import cable_campaign
 
-        internet = SimulatedInternet(
-            seed=spec.seed, include_telco=False, include_mobile=False,
-        )
+        internet, fleet, worker_spec = cable_campaign(seed=spec.seed)
         isp = getattr(internet, spec.isp, None)
         if isp is None:
             raise ServiceError(f"unknown ISP {spec.isp!r}") from None
-        worker_spec = None
-        if spec.workers > 1:
-            worker_spec = WorkerSpec(
-                "repro.measure.substrates:cable_substrate",
-                {"seed": spec.seed, "include_telco": False,
-                 "include_mobile": False},
-            )
         plan = FaultPlan(**spec.faults) if spec.faults else None
         checkpoint_path = job_dir / "checkpoint.json"
         # Discard-if-corrupt guard: a damaged checkpoint costs this
         # attempt, not the job.
         _load_or_new_checkpoint(checkpoint_path)
         pipeline = CableInferencePipeline(
-            internet.network, isp, list(internet.build_standard_vps()),
+            internet.network, isp, fleet,
             sweep_vps=_scaled(spec.sweep_vps, fidelity, floor=2),
             faults=plan,
             checkpoint_path=checkpoint_path,

@@ -122,10 +122,6 @@ class Scheduler:
             key=lambda r: (-r.spec.priority, r.submitted_seq),
         )
 
-    def has_pending(self, now: float) -> bool:
-        """Whether any queued job exists (runnable now or backing off)."""
-        return bool(self.store.queued())
-
     # ------------------------------------------------------------------
     # Retry / fidelity policy
     # ------------------------------------------------------------------

@@ -5,10 +5,16 @@ links into one shared :class:`~repro.net.network.Network`, records the
 ground truth in :class:`~repro.topology.co.Region` objects, and wires
 its BackboneCOs into the ISP's national backbone so that probes from
 anywhere on the simulated internet can enter its regions.
+
+The module-level selection helpers are a measurement campaign's view of
+an ISP — which vantage points sit outside it, and which addresses a
+§5.1 campaign targets — shared by the inference pipeline, the bias lab
+and the VP-placement optimizer.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import random
 from typing import Optional
 
@@ -18,6 +24,38 @@ from repro.net.network import Network
 from repro.net.router import ReplyPolicy, Router
 from repro.topology.co import BackbonePop, CentralOffice, CoKind, Region
 from repro.topology.geography import City, Geography
+
+
+def split_vps(isp, vps) -> "tuple[list, list]":
+    """``(external, internal)``: *vps* split by whether their probe
+    source lies outside or inside *isp*'s address pool (order kept)."""
+    external, internal = [], []
+    for vp in vps:
+        inside = ipaddress.ip_address(vp.src_address) in isp.allocator.pool
+        (internal if inside else external).append(vp)
+    return external, internal
+
+
+def slash24_targets_by_region(isp) -> "dict[str, list[str]]":
+    """One probe address per /24 of each announced region prefix (§5.1),
+    keyed by region name in sorted order."""
+    return {
+        region_name: [
+            str(subnet.network_address + 1)
+            for prefix in isp.region_prefixes[region_name]
+            for subnet in prefix.subnets(new_prefix=24)
+        ]
+        for region_name in sorted(isp.region_prefixes)
+    }
+
+
+def regional_co_addresses(isp, rdns, parser) -> "list[str]":
+    """Snapshot addresses whose hostname *parser* reads as a regional
+    CO of *isp*, in snapshot order (the §5.1 rDNS target sweep)."""
+    return [
+        address for address, hostname in rdns.snapshot_items()
+        if parser.regional_co(hostname, isp.name) is not None
+    ]
 
 
 class BaseIsp:

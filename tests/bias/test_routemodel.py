@@ -1,9 +1,13 @@
-"""Policy route models: valley-freeness, determinism, and fallbacks."""
+"""Policy route models: valley-freeness, determinism, fallbacks, and
+supervised-worker parity."""
 
 import pytest
 
 from repro.bias.routemodel import build_as_graph, build_route_model
 from repro.errors import TopologyError
+from repro.io.export import region_to_json
+from repro.measure.substrates import cable_campaign
+from region_pipeline import REGION, RegionPipeline
 
 
 def _co_router(internet):
@@ -63,20 +67,42 @@ class TestBuilders:
         assert graph.rel_of(providers[0], charter) == "p2c"
 
 
-class TestPipelineWiring:
-    def test_route_model_refuses_supervised_workers(self, bias_internet,
-                                                    vf_model):
-        from repro.errors import MeasurementError
-        from repro.infer.pipeline import CableInferencePipeline
+#: Health fields only the supervisor fills in (zero for a serial run).
+_SUPERVISOR_HEALTH = ("shards_planned", "workers_spawned")
 
-        with pytest.raises(MeasurementError):
-            CableInferencePipeline(
-                bias_internet.network,
-                bias_internet.comcast,
-                list(bias_internet.build_standard_vps()),
-                workers=2,
-                route_model=vf_model,
-            )
+
+class TestSupervisedParity:
+    def test_valley_free_workers_match_serial(self):
+        """A route model is part of the substrate recipe, so supervised
+        workers probe under it too: the regions are byte-identical.
+
+        The substrate is the bias fixture's (seed 11, cable only), built
+        fresh by the recipe so the serial fleet is the one workers build.
+        """
+        internet, fleet, worker_spec = cable_campaign(
+            seed=11, route_model="valley-free"
+        )
+        assert internet.network.route_model.name == "valley-free"
+
+        def run(workers):
+            return RegionPipeline(
+                internet.network, internet.comcast, fleet, sweep_vps=2,
+                workers=workers, worker_spec=worker_spec,
+            ).run()
+
+        serial, supervised = run(0), run(2)
+        assert REGION in serial.regions
+        assert set(supervised.regions) == set(serial.regions)
+        for name in sorted(serial.regions):
+            assert region_to_json(supervised.regions[name]) == region_to_json(
+                serial.regions[name]
+            ), f"region {name} diverged under workers=2"
+        health = supervised.health.as_dict()
+        reference = serial.health.as_dict()
+        for field in _SUPERVISOR_HEALTH:
+            assert health.pop(field) > 0
+            reference.pop(field)
+        assert health == reference
 
 
 class TestValleyFree:

@@ -18,12 +18,17 @@ class TestStats:
         hits = sum(injector.rdns_timeout("1.2.3.4", i) for i in range(100))
         assert injector.stats.rdns_timeouts == hits > 0
 
-    def test_rdns_fallback_counter_is_transient(self):
-        """Without a caller token, repeated digs for one address use a
-        call counter, so a timeout on the first try can clear later."""
-        injector = _injector(seed=2, rdns_timeout=0.5)
-        outcomes = [injector.rdns_timeout("9.9.9.9") for _ in range(50)]
-        assert True in outcomes and False in outcomes
+    def test_rdns_timeout_is_call_order_independent(self):
+        """The decision is keyed on (address, event key) alone: two
+        injectors over one plan agree whatever order they are asked in,
+        and fresh keys keep the timeout transient."""
+        events = [(f"10.0.0.{i % 7}", ("probe", i)) for i in range(60)]
+        first, second = (_injector(seed=2, rdns_timeout=0.5) for _ in range(2))
+        forward = {key: first.rdns_timeout(*key) for key in events}
+        backward = {key: second.rdns_timeout(*key) for key in reversed(events)}
+        assert forward == backward
+        assert True in forward.values() and False in forward.values()
+        assert first.stats.rdns_timeouts == second.stats.rdns_timeouts
 
 
 class TestVpLifecycle:

@@ -1,40 +1,11 @@
 """End-to-end fault tolerance of the cable pipeline (one small region)."""
 
-import ipaddress
-
 import pytest
 
 from repro.errors import CampaignInterrupted
 from repro.faults import FaultPlan
-from repro.infer.pipeline import CableInferencePipeline
 from repro.io.export import campaign_health_to_json, region_to_json
-
-REGION = "saltlake"
-
-
-class _RegionPipeline(CableInferencePipeline):
-    """The §5 pipeline restricted to one region's targets, for speed.
-
-    Customer /24s are filtered by the region's announced prefixes;
-    rDNS-harvested infrastructure targets (which live in a shared infra
-    pool) are filtered by the region tag in their hostname.
-    """
-
-    def slash24_targets(self):
-        nets = self.isp.region_prefixes[REGION]
-        return [
-            t for t in super().slash24_targets()
-            if any(ipaddress.ip_address(t) in n for n in nets)
-        ]
-
-    def rdns_targets(self):
-        targets = []
-        for address in super().rdns_targets():
-            hostname = self.network.rdns.snapshot_lookup(address)
-            parsed = self.parser.regional_co(hostname, self.isp.name)
-            if parsed is not None and parsed[0] == REGION:
-                targets.append(address)
-        return targets
+from region_pipeline import REGION, RegionPipeline
 
 
 @pytest.fixture()
@@ -48,7 +19,7 @@ def small_world():
 
 
 def _pipeline(internet, fleet, **kwargs):
-    return _RegionPipeline(
+    return RegionPipeline(
         internet.network, internet.comcast, fleet,
         sweep_vps=4, **kwargs,
     )

@@ -45,7 +45,7 @@ def pipeline():
 class TestVpFiltering:
     def test_internal_vps_capped(self, pipeline):
         internal = [vp for vp in pipeline.vps if vp.name.startswith("int")]
-        assert len(internal) == 4  # default max_internal_vps
+        assert len(internal) == 4  # MAX_INTERNAL_VPS
 
     def test_internal_spread_includes_ends(self, pipeline):
         internal = [vp.name for vp in pipeline.vps if vp.name.startswith("int")]

@@ -16,12 +16,13 @@ class TestParallelPipelineParity:
     def test_exported_regions_byte_identical(
         self, internet, standard_vps, comcast_result
     ):
-        # Workers rebuild the session fixture's internet (seed 3).
+        # Workers rebuild the session fixture's full internet (seed 3).
         parallel = CableInferencePipeline(
             internet.network, internet.comcast, standard_vps, sweep_vps=6,
             workers=2, profile=True,
             worker_spec=WorkerSpec(
-                "repro.measure.substrates:cable_substrate", {"seed": 3}
+                "repro.measure.substrates:cable_substrate",
+                {"seed": 3, "include_telco": True, "include_mobile": True},
             ),
         ).run()
         assert set(parallel.regions) == set(comcast_result.regions)

@@ -106,6 +106,30 @@ class TestSupervisedFlags:
             build_parser().parse_args(["map-cable", "comcast", "--parallel", "4"])
 
 
+class TestRouteModelWorkers:
+    def test_route_model_with_workers_runs(self, tmp_path, capsys,
+                                           monkeypatch):
+        """The route model is part of the substrate workers rebuild, so
+        ``--route-model`` combines with ``--workers``.  The target lists
+        are cut short: hot-potato paths are slow, and the combination,
+        not the campaign's size, is under test."""
+        from repro.infer.pipeline import CableInferencePipeline
+
+        for name in ("slash24_targets", "rdns_targets"):
+            full = getattr(CableInferencePipeline, name)
+            monkeypatch.setattr(CableInferencePipeline, name,
+                                lambda self, full=full: full(self)[:8])
+        code = main(["map-cable", "charter", "--sweep-vps", "1",
+                     "--route-model", "hot-potato", "--workers", "2",
+                     "--json-dir", str(tmp_path)])
+        assert code == 0
+        assert "error:" not in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "charter-manifest.json").read_text())
+        parameters = manifest["invocation"]["parameters"]
+        assert parameters["route_model"] == "hot-potato"
+        assert parameters["workers"] == 2
+
+
 class TestCorruptCheckpointResume:
     def test_resume_from_corrupt_checkpoint_is_a_clean_error(
         self, tmp_path, capsys
