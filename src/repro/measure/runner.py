@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import CampaignInterrupted
 from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import FleetView, VantagePoint
+from repro.perf.gcpause import gc_paused
 
 
 @dataclass
@@ -319,14 +320,19 @@ class CampaignRunner:
         With an observability tracer attached the whole stage runs
         inside a ``stage:<name>`` span recording job and trace counts;
         a stage interrupted by ``stop_after`` leaves an ``error`` span.
+
+        Automatic cyclic collection is paused while the stage runs: its
+        traces are acyclic and outlive the stage, so a collection would
+        rescan them all and free nothing.
         """
-        if self.obs is None:
-            return self._run_stage(jobs, stage, flow_id, keep_empty)
-        with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
-            traces = self._run_stage(jobs, stage, flow_id, keep_empty)
-            span.attributes["traces"] = len(traces)
-            span.attributes["skipped"] = self.health.targets_skipped
-            return traces
+        with gc_paused():
+            if self.obs is None:
+                return self._run_stage(jobs, stage, flow_id, keep_empty)
+            with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
+                traces = self._run_stage(jobs, stage, flow_id, keep_empty)
+                span.attributes["traces"] = len(traces)
+                span.attributes["skipped"] = self.health.targets_skipped
+                return traces
 
     def _run_stage(
         self,

@@ -22,8 +22,12 @@ from typing import NamedTuple, Optional
 
 from repro.net.addresses import parse_ip
 from repro.net.network import Network
-from repro.net.router import Router, _extend_hash, _hash_prefix, _stable_hash
+from repro.net.router import Interface, ReplyPolicy, Router, _extend_hash, _hash_prefix, _stable_hash
 from repro.perf.cache import normalize_address
+
+#: ``Hop`` construction without the named tuple's Python-level
+#: ``__new__``, for the tracer's per-hop loop.
+_new_tuple = tuple.__new__
 
 
 class Hop(NamedTuple):
@@ -45,6 +49,30 @@ class Hop(NamedTuple):
     @property
     def responded(self) -> bool:
         return self.address is not None
+
+
+class PlanStep(NamedTuple):
+    """One visible router of a cached hop plan, with its reply facts.
+
+    ``fixed`` means ``policy`` answers every probe from the plan's
+    source (echo filters included at the destination) with a reply
+    known in advance: ``reply`` and its live PTR ``name`` for an
+    inbound-interface reply, or, at the destination, the probed address
+    the tracer fills in per trace.  ``rtt_base`` is ``2·one_way_ms +
+    0.1`` and ``rtt_suffix`` the RTT key's ``"<ttl>)"`` bytes.
+    """
+
+    router: Router
+    inbound: Interface
+    one_way_ms: float
+    policy: ReplyPolicy
+    fixed: bool
+    reply: Optional[str]
+    name: Optional[str]
+    rtt_base: float
+    reply_ttl: int
+    is_final: bool
+    rtt_suffix: bytes
 
 
 @dataclass
@@ -140,6 +168,14 @@ class Tracerouter:
         #: Probe source text -> parsed address, for source-filtering
         #: reply policies; a campaign has one entry per vantage point.
         self._sources: "dict[str, object]" = {}
+        #: The probe source and substrate versions the plan cache holds
+        #: plans for, and ``(destination router uid, flapped tunnels) ->
+        #: (forwarding path, hop plan)`` under that scope.  See
+        #: :meth:`_hop_plan`.
+        self._plan_scope: "tuple | None" = None
+        self._plans: "dict[tuple[str, frozenset], tuple[list, tuple[PlanStep, ...]]]" = {}
+        #: Router uid -> (path prefix, its transit steps), same scope.
+        self._transits: "dict[str, tuple[list, tuple[PlanStep, ...]]]" = {}
 
     def counters(self) -> "dict[str, float]":
         """Snapshot of the campaign-cost counters."""
@@ -177,6 +213,94 @@ class Tracerouter:
         jitter = (draw % 1000) / 1000.0 * self.jitter_ms
         return 2.0 * one_way_ms + 0.1 + jitter
 
+    def _hop_plan(self, src, source_addr, flow_id, path, dst_router, down) -> "tuple[PlanStep, ...]":
+        """The hop plan of a trace along *path*, from the per-source cache.
+
+        One :class:`PlanStep` per visible router after the source, in
+        TTL order.  Plans are kept for the current probe source only;
+        campaigns send each stage's jobs VP-major.  A cached plan is
+        reused when the forwarding path is the same (under the walk memo
+        the same list, under a route model an equal one) and no router,
+        link, prefix route, LSP or rDNS record changed since it was
+        built.  A step's reply facts are used only while
+        ``router.policy`` is still the step's policy object: a policy
+        is changed by assigning a new one, never edited in place.
+        """
+        network = self.network
+        scope = (src.uid, source_addr, flow_id,
+                 network.version, network.mpls.version, network.rdns.epoch)
+        if scope != self._plan_scope:
+            self._plan_scope = scope
+            self._plans = {}
+            self._transits = {}
+        key = (dst_router.uid, down)
+        cached = self._plans.get(key)
+        if cached is not None and (cached[0] is path or cached[0] == path):
+            return cached[1]
+        probe_source = self._sources.get(source_addr)
+        if probe_source is None:
+            probe_source = self._sources[source_addr] = parse_ip(source_addr)
+        visible = network.mpls.visible_path(path, dst_router, down=down)
+        if len(visible) == len(path):
+            # Nothing hidden: every router before the destination is a
+            # transit hop, whose step other destinations share.
+            plan = self._transit_steps(path, probe_source)
+            if len(path) > 1:
+                plan += (self._next_step(path, plan, probe_source, True),)
+        else:
+            plan = tuple(
+                self._plan_step(router, inbound, one_way_ms, hop_index, probe_source, router is dst_router)
+                for hop_index, (router, inbound, one_way_ms)
+                in enumerate(network.hop_plan(path, visible), 1)
+            )
+        self._plans[key] = (path, plan)
+        return plan
+
+    def _transit_steps(self, path, probe_source) -> "tuple[PlanStep, ...]":
+        """The steps of ``path[1:-1]``, each router a visible transit hop.
+
+        The steps up to a router are kept per scope with the path
+        prefix they were built for, so a plan extends the longest
+        prefix an earlier plan built: a source's paths form a tree.
+        """
+        transits = self._transits
+        last = len(path) - 2
+        built, steps = 0, ()
+        for k in range(last, 0, -1):
+            cached = transits.get(path[k].uid)
+            if cached is not None and cached[0] == path[:k + 1]:
+                built, steps = k, cached[1]
+                break
+        for k in range(built + 1, last + 1):
+            prefix = path[:k + 1]
+            steps += (self._next_step(prefix, steps, probe_source, False),)
+            transits[path[k].uid] = (prefix, steps)
+        return steps
+
+    def _next_step(self, path, steps, probe_source, is_final) -> PlanStep:
+        """The step for ``path[-1]``, after *steps* cover ``path[1:-1]``."""
+        inbound, hop_ms = self.network._hop(path[-2], path[-1])
+        one_way_ms = (steps[-1].one_way_ms if steps else 0.0) + hop_ms
+        return self._plan_step(path[-1], inbound, one_way_ms, len(path) - 1, probe_source, is_final)
+
+    def _plan_step(self, router, inbound, one_way_ms, hop_index, probe_source, is_final) -> PlanStep:
+        """One plan step: *router*'s reply facts at *hop_index*."""
+        policy = router.policy
+        answers = policy.answers_echo if is_final else policy.responds_to
+        fixed = policy.respond_prob >= 1.0 and answers(probe_source, None)
+        reply = name = None
+        if not is_final:
+            if policy.reply_from == "inbound":
+                reply = inbound.text
+                name = self.network.rdns.ptr(reply)
+            else:
+                fixed = False
+        return PlanStep(
+            router, inbound, one_way_ms, policy, fixed, reply, name,
+            2.0 * one_way_ms + 0.1, policy.initial_ttl - (hop_index - 1),
+            is_final, f"{hop_index})".encode(),
+        )
+
     def trace(
         self,
         src: Router,
@@ -187,10 +311,13 @@ class Tracerouter:
         """Run one traceroute from *src* toward *dst_address*.
 
         Work is done at the coarsest level where it is fixed: link and
-        address tables once per topology (``Network``), the hop plan and
-        hash prefixes once per trace, and per probe only the fault
-        hooks, the reply-policy decision, the RTT hash suffix and the
-        rDNS dig.
+        address tables once per topology (``Network``), the forwarding
+        path and the hop plan once per (source, destination router,
+        flapped tunnels) while the substrate is unchanged
+        (:meth:`_hop_plan`), hash prefixes once per trace.  A hop whose
+        reply is fixed costs, fault-free, one RTT hash suffix; any other
+        probe pays the fault hooks, the reply-policy decision, the RTT
+        hash suffix and the rDNS dig.
         """
         if self.pace_ms > 0.0:
             time.sleep(self.pace_ms / 1000.0)
@@ -202,7 +329,7 @@ class Tracerouter:
         )
         dst_text = normalize_address(dst_address)
         result = TraceResult(source_addr, dst_text, hops=[], flow_id=flow_id)
-        dst_router, dst_exists = network.route_target(dst_address)
+        dst_router, dst_exists = network.route_target(dst_text)
         if dst_router is None:
             return result
 
@@ -219,22 +346,39 @@ class Tracerouter:
             if faults is not None
             else frozenset()
         )
-        plan = network.hop_plan(path, dst_router, down=down)
-        if len(plan) > self.max_ttl:
-            del plan[self.max_ttl:]
-        probe_source = self._sources.get(source_addr)
-        if probe_source is None:
-            probe_source = self._sources[source_addr] = parse_ip(source_addr)
+        plan = self._hop_plan(src, source_addr, flow_id, path, dst_router, down)
+        plan = plan[:self.max_ttl]
+        probe_source = self._sources[source_addr]
         # Every first-attempt RTT key is (source, dst, flow, ttl): absorb
         # the text of "rtt|(source, dst, flow, " once, add "ttl)" per hop.
         rtt_head = _hash_prefix(
-            "rtt|" + str((source_addr, dst_address, flow_id))[:-1] + ", "
+            f"rtt|({source_addr!r}, {dst_address!r}, {flow_id!r}, "
         )
+        jitter_ms = self.jitter_ms
         dig = network.rdns.dig
         hops = result.hops
         sent = lost = refused = 0
-        for hop_index, (router, inbound, one_way_ms) in enumerate(plan, 1):
-            is_final = router is dst_router
+        for hop_index, (
+            router, inbound, one_way_ms, policy, fixed, reply, name,
+            rtt_base, reply_ttl, is_final, rtt_suffix,
+        ) in enumerate(plan, 1):
+            if (fixed and faults is None and router.policy is policy
+                    and (dst_exists or not is_final)):
+                # The reply is certain: only the RTT jitter is drawn,
+                # hashing the bytes _rtt would (see _extend_hash).
+                sent += 1
+                if is_final:
+                    reply, name = dst_text, network.rdns.ptr(dst_text)
+                    result.completed = True
+                state = rtt_head.copy()
+                state.update(rtt_suffix)
+                draw = int.from_bytes(state.digest(), "big")
+                hops.append(_new_tuple(Hop, (
+                    hop_index, reply, name,
+                    round(rtt_base + (draw % 1000) / 1000.0 * jitter_ms, 3),
+                    reply_ttl, 1,
+                )))
+                continue
             base_key = (source_addr, dst_address, flow_id, hop_index)
             hop = None
             for attempt in range(self.attempts):

@@ -82,6 +82,15 @@ class RdnsStore:
             return None
         return self._dig.get(key)
 
+    def ptr(self, text: str) -> Optional[str]:
+        """The live record for canonical address *text*.
+
+        What a fault-free :meth:`dig` returns, without normalising the
+        address: probe engines read it once per reply address and
+        rDNS :attr:`epoch`.
+        """
+        return self._dig.get(text)
+
     def snapshot_lookup(self, address: "str | IPAddress") -> Optional[str]:
         """A lookup against the bulk snapshot."""
         return self._snapshot.get(normalize_address(address))

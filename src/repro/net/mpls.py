@@ -92,6 +92,9 @@ class MplsDomain:
         self._lsr_rules: list[tuple[frozenset, frozenset]] = []
         #: destination uid -> uids the LSR rules hide from its probes.
         self._hidden_for: dict[str, frozenset] = {}
+        #: Mutation counter: bumps on every tunnel or rule added, so
+        #: layers that memoise visible paths know when to drop them.
+        self.version = 0
 
     def add_lsr_rule(self, hidden_routers, reveal_destinations) -> None:
         """Hide *hidden_routers* except for probes destined to *reveal_destinations*."""
@@ -102,12 +105,14 @@ class MplsDomain:
             )
         )
         self._hidden_for.clear()
+        self.version += 1
 
     def add(self, tunnel: MplsTunnel) -> MplsTunnel:
         """Register an LSP."""
         self.tunnels.append(tunnel)
         by_egress = self._by_ingress.setdefault(tunnel.ingress.uid, {})
         by_egress.setdefault(tunnel.egress.uid, []).append(tunnel)
+        self.version += 1
         return tunnel
 
     def tunnel_through(self, path_routers: "list[Router]") -> "list[MplsTunnel]":

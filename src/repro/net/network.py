@@ -2,11 +2,12 @@
 
 :class:`Network` is the substrate every measurement tool probes.  It
 computes forwarding paths with a delay-weighted shortest-path search
-(cached single-source runs, so campaigns from a few vantage points to
-many thousands of targets stay fast), supports equal-cost multipath
-with per-flow deterministic tie-breaking (paris-traceroute keeps the
-flow fixed, so a flow sees a stable path), applies MPLS visibility
-rules, and answers probes according to each router's reply policy.
+(cached single-source runs and per-source path walks, so campaigns from
+a few vantage points to many thousands of targets stay fast), supports
+equal-cost multipath with per-flow deterministic tie-breaking
+(paris-traceroute keeps the flow fixed, so a flow sees a stable path),
+applies MPLS visibility rules, and answers probes according to each
+router's reply policy.
 
 Ground truth lives in router/CO annotations; the measurement API
 deliberately exposes only what a real prober could see: reply
@@ -63,6 +64,14 @@ class Network:
         # routers wins, as in an adjacency scan.
         self._hops: dict[tuple[str, str], tuple[Interface, float]] = {}
         self._sssp_cache: dict[str, tuple[dict[str, float], dict[str, list[str]]]] = {}
+        # src uid -> (flow text, {dst uid: SPF path}): the walks of one
+        # source's current flow.  A paris flow key is constant per
+        # vantage point, so a campaign walks each path once.
+        self._walks: dict[str, tuple[str, dict[str, list[Router]]]] = {}
+        #: Mutation counter: bumps whenever a router, interface, link
+        #: or prefix route is added, so layers that memoise probe facts
+        #: (the tracer's plan cache) know when to drop them.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -72,6 +81,7 @@ class Network:
         if router.uid in self.routers:
             raise TopologyError(f"duplicate router uid {router.uid!r}")
         self.routers[router.uid] = router
+        self.version += 1
         self._adj.setdefault(router.uid, [])
         for iface in router.interfaces:
             self._register_interface(iface)
@@ -87,6 +97,7 @@ class Network:
         """Add an interface to an already-registered router."""
         iface = router.add_interface(address, prefixlen, name=name)
         self._register_interface(iface)
+        self.version += 1
         return iface
 
     def connect(
@@ -115,6 +126,8 @@ class Network:
             inbound = link.a if link.a.router is cur else link.b
             self._hops.setdefault((prev.uid, cur.uid), (inbound, hop_ms))
         self._sssp_cache.clear()
+        self._walks.clear()
+        self.version += 1
         return link
 
     def add_prefix_route(self, prefix: "str | ipaddress.IPv4Network | ipaddress.IPv6Network", router: Router) -> None:
@@ -125,6 +138,7 @@ class Network:
         if all(plen != net.prefixlen for plen, _mask in masks):
             masks.append((net.prefixlen, int(net.netmask)))
             masks.sort(reverse=True)
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -167,13 +181,16 @@ class Network:
 
         A non-existent address inside a routed prefix is delivered to
         the prefix's router (which will not answer an echo for it); an
-        address outside all prefixes is unroutable.
+        address outside all prefixes is unroutable.  Canonical text (a
+        probe engine normalises each destination once) is looked up as
+        is; any other spelling is normalised first.
         """
-        text = normalize_address(address)
-        iface = self._addr_owner.get(text)
+        iface = self._addr_owner.get(address)
+        if iface is None:
+            iface = self._addr_owner.get(normalize_address(address))
         if iface is not None:
             return iface.router, True
-        addr = parse_ip(text)
+        addr = parse_ip(address)
         value = int(addr)
         for plen, mask in self._prefix_masks.get(addr.version, ()):
             router = self._prefix_routes.get((addr.version, plen, value & mask))
@@ -221,7 +238,9 @@ class Network:
 
         When a :attr:`route_model` is attached it is consulted first;
         a model that returns None for this flow falls through to the
-        default delay-weighted SPF below.
+        default delay-weighted SPF below.  SPF walks are memoised per
+        source for its most recent flow, so the returned list may be
+        shared with other callers: it must not be mutated.
         """
         if self.route_model is not None:
             modeled = self.route_model.forwarding_path(
@@ -229,19 +248,30 @@ class Network:
             )
             if modeled is not None:
                 return modeled
-        dist, preds = self._sssp(src.uid)
-        if dst.uid not in dist:
-            raise RoutingError(f"no route from {src.uid} to {dst.uid}")
-        path_uids = [dst.uid]
-        node = dst.uid
-        ecmp = None  # hash state for "ecmp|<flow_id>|", made on first tie
-        while node != src.uid:
+        flow = str(flow_id)
+        walk = self._walks.get(src.uid)
+        if walk is None or walk[0] != flow:
+            walk = self._walks[src.uid] = (flow, {})
+        path = walk[1].get(dst.uid)
+        if path is None:
+            path = walk[1][dst.uid] = self._walk(src.uid, dst.uid, flow)
+        return path
+
+    def _walk(self, src_uid: str, dst_uid: str, flow: str) -> "list[Router]":
+        """Walk the shortest-path tree of *src_uid* back from *dst_uid*."""
+        dist, preds = self._sssp(src_uid)
+        if dst_uid not in dist:
+            raise RoutingError(f"no route from {src_uid} to {dst_uid}")
+        path_uids = [dst_uid]
+        node = dst_uid
+        ecmp = None  # hash state for "ecmp|<flow>|", made on first tie
+        while node != src_uid:
             options = preds[node]
             if len(options) == 1:
                 node = options[0]
             else:
                 if ecmp is None:
-                    ecmp = _hash_prefix(f"ecmp|{flow_id!s}|")
+                    ecmp = _hash_prefix(f"ecmp|{flow}|")
                 # The choice indexes the sorted options.  Sorting the
                 # cached list in place makes every later walk's sort a
                 # no-op pass instead of a fresh copy.
@@ -259,19 +289,16 @@ class Network:
             raise RoutingError(f"no link between {prev.uid} and {cur.uid}") from None
 
     def hop_plan(
-        self,
-        path: "list[Router]",
-        destination: Router,
-        down: "frozenset[str] | set[str]" = frozenset(),
+        self, path: "list[Router]", visible: "list[Router]"
     ) -> "list[tuple[Router, Optional[Interface], float]]":
         """What a traceroute along *path* can see, hop by hop.
 
         One ``(router, inbound interface, cumulative one-way delay)``
-        per visible router after the first, in TTL order: the MPLS
-        filter of :meth:`MplsDomain.visible_path` (with the tunnels in
-        *down* flapped) applied to the per-step facts of
-        :meth:`inbound_interfaces` and :meth:`path_delays_ms`, read from
-        the link table ``connect`` maintains.
+        per router of ``visible[1:]``, in TTL order: *visible* is the
+        MPLS filter of *path* (:meth:`MplsDomain.visible_path`) and the
+        per-step facts are those of :meth:`inbound_interfaces` and
+        :meth:`path_delays_ms`, read from the link table ``connect``
+        maintains.
         """
         facts = {path[0].uid: (None, 0.0)}
         total = 0.0
@@ -279,7 +306,6 @@ class Network:
             inbound, hop_ms = self._hop(prev, cur)
             total += hop_ms
             facts[cur.uid] = (inbound, total)
-        visible = self.mpls.visible_path(path, destination, down=down)
         return [(router, *facts[router.uid]) for router in visible[1:]]
 
     def path_delays_ms(self, path: "list[Router]") -> "list[float]":

@@ -233,4 +233,240 @@ def test_connect_after_a_trace_updates_the_link_table(toy_network):
 def test_hop_plan_raises_for_a_path_without_links(toy_network):
     net, routers = toy_network
     with pytest.raises(RoutingError):
-        net.hop_plan([routers["src"], routers["dst"]], routers["dst"])
+        net.hop_plan([routers["src"], routers["dst"]], [routers["src"], routers["dst"]])
+
+
+# ----------------------------------------------------------------------
+# The per-source walk memo and probe-plan cache
+# ----------------------------------------------------------------------
+#: Substrate changes a warm cache must notice (``max_ttl`` is a tracer
+#: knob the supervisor's workers reassign after building the tracer).
+MUTATIONS = ("connect", "prefix", "tunnel", "lsr", "rdns", "policy",
+             "route_model", "fresh_paths", "max_ttl")
+
+
+class FreshCopies:
+    """A route model returning the SPF path as a new, equal list each call."""
+
+    def forwarding_path(self, network, src, dst, flow_id):
+        return list(network._walk(src.uid, dst.uid, str(flow_id)))
+
+
+def mutate(net, tracers, kind, pick, serial):
+    """Apply one substrate change of *kind*; *pick* chooses its operands.
+
+    ``tracers[0]`` is the kernel, whose cached paths place new LSPs.
+    """
+    routers = sorted((r for r in net.routers.values() if r.uid.startswith("r")), key=lambda r: r.uid)
+    first, second = routers[pick % len(routers)], routers[(pick // 7 + 1) % len(routers)]
+    if kind == "connect" and first is not second:
+        net.connect(first, second, f"10.7.{serial}.1", f"10.7.{serial}.2", length_km=0.5)
+    elif kind == "prefix":
+        net.add_prefix_route(PREFIXES[pick % len(PREFIXES)], first)
+    elif kind == "tunnel":
+        # An LSP inside a path the kernel has cached, ending before its
+        # destination, so that it hides its interior from the trace.
+        paths = sorted((path for path, _plan in tracers[0]._plans.values() if len(path) >= 5),
+                       key=lambda path: [router.uid for router in path])
+        if paths:
+            path = paths[pick % len(paths)]
+            net.mpls.add(MplsTunnel(path[1], path[-2], tuple(path[2:-2])))
+        elif first is not second:
+            net.mpls.add(MplsTunnel(first, second))
+    elif kind == "lsr":
+        net.mpls.add_lsr_rule([first], [second])
+    elif kind == "rdns":
+        for iface in first.interfaces:
+            net.rdns.set(iface.text, f"renamed{serial}.example.net")
+    elif kind == "policy":
+        first.policy = ReplyPolicy(
+            reply_from=("inbound", "probed", "loopback")[pick % 3],
+            respond_prob=(1.0, 0.0, 0.5)[pick % 3],
+            internal_only=FILTERS[pick % len(FILTERS)],
+            initial_ttl=255,
+        )
+    elif kind == "route_model":
+        graph = AsGraph()
+        graph.add_relationship(1, 2, "p2c")
+        graph.add_relationship(1, 3, "p2c")
+        net.route_model = ValleyFreeRouteModel(graph)
+    elif kind == "fresh_paths":
+        net.route_model = FreshCopies()
+    elif kind == "max_ttl":
+        for tracer in tracers:
+            tracer.max_ttl = (2, 4, 32)[pick % 3]
+
+
+def vp_major(tracer, vps, targets, flows):
+    """Traces in campaign order: per VP and flow, every target."""
+    return [
+        tracer.trace(host, target, flow_id=flow, src_address=source)
+        for host, source in vps for flow in flows for target in targets
+    ]
+
+
+def counting_plan_builds(net):
+    """Count ``MplsDomain.visible_path`` calls: one per plan-cache miss."""
+    calls = []
+    original = net.mpls.visible_path
+
+    def visible_path(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    net.mpls.visible_path = visible_path
+    return calls
+
+
+def many_targets(net):
+    """Every interface address and a few addresses in each routed prefix."""
+    targets = sorted(net.all_addresses())
+    for prefix in PREFIXES:
+        network = ipaddress.ip_network(prefix)
+        targets += [str(network[k]) for k in (1, 2, 3)]
+    return targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=scenarios(),
+    mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10_000)),
+                       min_size=1, max_size=4),
+)
+def test_a_warm_plan_cache_matches_the_oracle_after_every_mutation(spec, mutations):
+    net, vps, _targets = build(spec)
+    targets = many_targets(net)
+    kernel, oracle = Tracerouter(net, attempts=spec["attempts"]), OracleTracer(net, attempts=spec["attempts"])
+    flows = spec["flows"]
+    assert vp_major(kernel, vps, targets, flows) == vp_major(oracle, vps, targets, flows)
+    # The cache holds the last source's plans: keep probing from it.
+    last_vp, last_flow = vps[-1:], flows[-1:]
+    for serial, (kind, pick) in enumerate(mutations):
+        mutate(net, (kernel, oracle), kind, pick, serial)
+        assert vp_major(kernel, last_vp, targets, last_flow) == vp_major(oracle, last_vp, targets, last_flow)
+    assert kernel.counters() == oracle.counters()
+
+
+def test_targets_behind_one_router_share_a_plan(toy_network):
+    net, routers = toy_network
+    builds = counting_plan_builds(net)
+    targets = [f"198.18.5.{k}" for k in range(1, 9)] + ["10.0.0.14"]
+    kernel, oracle = Tracerouter(net), OracleTracer(net)
+    src = [(routers["src"], None)]
+    for flows in ([0], [1, 7]):
+        assert vp_major(kernel, src, targets, flows) == vp_major(oracle, src, targets, flows)
+    # One plan per (source flow, destination router): the /24 and the
+    # destination's own interface are both delivered to "dst".
+    assert len(builds) == 3
+    net.route_model = FreshCopies()
+    assert vp_major(kernel, src, targets, [7]) == vp_major(oracle, src, targets, [7])
+    # An equal path from a route model still hits; a new source refills.
+    assert len(builds) == 3
+    assert vp_major(kernel, [(routers["src"], "10.9.9.9")], targets, [7]) \
+        == vp_major(oracle, [(routers["src"], "10.9.9.9")], targets, [7])
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_each_mutation_after_a_fill_matches_the_oracle(kind):
+    spec = {
+        "policies": [ReplyPolicy(), ReplyPolicy(), ReplyPolicy(), ReplyPolicy(), ReplyPolicy()],
+        "loopbacks": [True, True, False, True, False],
+        "asns": [1, 2, 2, 3, 3],
+        "links": [(0, 1, 10.0, None, False), (1, 2, 10.0, None, False),
+                  (2, 3, 10.0, None, False), (3, 4, 10.0, None, False), (0, 4, 60.0, None, False)],
+        "prefixes": [("198.18.1.0/24", 4), ("198.18.2.0/24", 2)],
+        "tunnels": [],
+        "lsr_rules": [],
+        "vps": [(0, None), (0, "own")],
+        "targets": [],
+        "flows": [0, 1],
+        "attempts": 1,
+        "max_ttl": 32,
+        "faults": None,
+        "valley_free": False,
+    }
+    net, vps, _ = build(spec)
+    targets = many_targets(net)
+    kernel, oracle = Tracerouter(net), OracleTracer(net)
+    builds = counting_plan_builds(net)
+    assert vp_major(kernel, vps, targets, [0, 1]) == vp_major(oracle, vps, targets, [0, 1])
+    assert len(builds) < len(vps) * len(targets) * 2
+    # Probe on from the last source, whose plans the cache still holds.
+    for pick in (0, 1, 2, 8, 9):
+        mutate(net, (kernel, oracle), kind, pick, pick)
+        assert vp_major(kernel, vps[-1:], targets, [1]) == vp_major(oracle, vps[-1:], targets, [1])
+    assert kernel.counters() == oracle.counters()
+
+
+class ExplicitRoutes:
+    """A route model with one fixed router path per destination router."""
+
+    def __init__(self, routes):
+        self.routes = routes
+
+    def forwarding_path(self, network, src, dst, flow_id):
+        uids = self.routes.get(dst.uid)
+        return None if uids is None else [network.routers[uid] for uid in uids]
+
+
+def test_transit_steps_follow_the_prefix_each_path_takes(toy_network):
+    net, routers = toy_network
+    for uid, near, far in (("e", "10.0.3.1", "10.0.3.2"), ("f", "10.0.3.5", "10.0.3.6")):
+        routers[uid] = net.add_router(Router(uid))
+        net.connect(routers["dst"], routers[uid], near, far)
+    # Both paths cross dst, entering it from b1 towards e and from b2
+    # towards f: dst's transit step differs between the two plans.
+    net.route_model = ExplicitRoutes({"e": ["src", "a", "b1", "dst", "e"], "f": ["src", "a", "b2", "dst", "f"]})
+    src = [(routers["src"], None)]
+    targets = ["10.0.3.2", "10.0.3.6"]
+    traces = vp_major(Tracerouter(net), src, targets, [0])
+    assert traces == vp_major(OracleTracer(net), src, targets, [0])
+    assert [trace.hops[2].address for trace in traces] == ["10.0.0.14", "10.0.0.18"]
+
+
+def test_max_ttl_applies_to_plans_built_under_a_smaller_one(toy_network):
+    net, routers = toy_network
+    src = [(routers["src"], None)]
+    targets = ["198.18.5.1", "198.18.5.2"]
+    kernel, oracle = Tracerouter(net, max_ttl=1), OracleTracer(net, max_ttl=1)
+    assert vp_major(kernel, src, targets, [0]) == vp_major(oracle, src, targets, [0])
+    kernel.max_ttl = oracle.max_ttl = 32
+    deep = vp_major(kernel, src, targets, [0])
+    assert deep == vp_major(oracle, src, targets, [0])
+    assert all(len(trace.hops) > 1 for trace in deep)
+
+
+def test_faulted_runs_with_flapped_tunnels_reuse_plans_per_flap_set():
+    spec = {
+        "policies": [ReplyPolicy()] * 5,
+        "loopbacks": [False] * 5,
+        "asns": [1] * 5,
+        "links": [(0, 1, 10.0, None, False), (1, 2, 10.0, None, False),
+                  (2, 3, 10.0, None, False), (3, 4, 10.0, None, False)],
+        "prefixes": [("198.18.1.0/24", 4), ("198.18.2.0/24", 3)],
+        "tunnels": [(1, 3, [2], False), (1, 4, [2, 3], False)],
+        "lsr_rules": [],
+        "vps": [(0, None)],
+        "targets": [],
+        "flows": [0],
+        "attempts": 2,
+        "max_ttl": 32,
+        "faults": None,
+        "valley_free": False,
+    }
+    net, vps, _ = build(spec)
+    targets = many_targets(net)
+    plan = FaultPlan(seed=3, probe_loss=0.2, rate_limit_share=0.5, rdns_timeout=0.3, lsp_flap=0.5)
+    kernel_injector, oracle_injector = FaultInjector(plan), FaultInjector(plan)
+    kernel, oracle = Tracerouter(net, attempts=2), OracleTracer(net, attempts=2)
+    net.attach_faults(kernel_injector)
+    kernel_traces = vp_major(kernel, vps, targets, [0, 1])
+    net.attach_faults(oracle_injector)
+    oracle_traces = vp_major(oracle, vps, targets, [0, 1])
+    net.detach_faults()
+    assert kernel_traces == oracle_traces
+    assert kernel.counters() == oracle.counters()
+    assert kernel_injector.stats.as_dict() == oracle_injector.stats.as_dict()
+    assert kernel_injector.stats.lsp_flaps > 0
+    assert any(down for _dst, down in kernel._plans)
