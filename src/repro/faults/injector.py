@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, seeded_uniform
 
 
 @dataclass
@@ -92,6 +92,39 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def probe_lost(self, probe_key: object) -> bool:
         if self.plan.probe_lost(probe_key):
+            self.stats.probes_lost += 1
+            return True
+        return False
+
+    @property
+    def loss_only_per_probe(self) -> bool:
+        """Whether probe loss is the only fault drawn for each probe.
+
+        Rate-limit windows and rDNS timeouts are the other per-probe
+        faults.  LSP flaps are drawn once per trace, VP flaps once per
+        job, and stale rDNS touches only ``lookup``, never ``dig``.
+        """
+        plan = self.plan
+        return plan.rate_limit_share <= 0.0 and plan.rdns_timeout <= 0.0
+
+    def loss_key_head(self, source_addr: str, dst_address: object, flow_id: object) -> "bytes | None":
+        """The loss-draw text of one trace's first probes, up to the TTL.
+
+        A first-attempt probe key is ``(source, dst, flow, ttl)``; its
+        draw text is this head followed by ``"<ttl>)"``, which
+        :meth:`first_probe_lost` takes.  None when the plan loses no
+        probes.
+        """
+        if self.plan.probe_loss <= 0.0:
+            return None
+        return (
+            f"faultplan|{self.plan.seed}|loss|"
+            f"({source_addr!r}, {dst_address!r}, {flow_id!r}, "
+        ).encode()
+
+    def first_probe_lost(self, key_text: bytes) -> bool:
+        """:meth:`probe_lost` for a probe given by its loss-draw text."""
+        if seeded_uniform(key_text) < self.plan.probe_loss:
             self.stats.probes_lost += 1
             return True
         return False

@@ -55,8 +55,9 @@ from repro.faults.plan import FaultPlan
 from repro.measure.runner import CampaignRunner
 from repro.measure.shard import Shard, plan_shards
 from repro.measure.substrates import WorkerSpec
-from repro.measure.traceroute import Hop, Tracerouter, TraceResult
+from repro.measure.traceroute import Hop, Tracerouter, TraceResult, _new_tuple
 from repro.measure.vantage import VantagePoint
+from repro.perf.gcpause import gc_paused
 from repro.validate.quarantine import QuarantineReport
 
 #: How long a stall-injected worker sleeps: effectively forever — the
@@ -98,7 +99,8 @@ def _trace_to_wire(trace: TraceResult):
     deserializes every trace the pool produces, so its per-trace cost
     bounds the achievable speedup.  Tuples survive a JSON round trip
     (as lists) when a completed shard is parked in the checkpoint,
-    which is why :func:`_trace_from_wire` accepts any sequence.
+    which is why :func:`_trace_from_wire` accepts any sequence; the
+    checkpoint schema checks every parked row's shape at load.
     """
     return (
         trace.src_address, trace.dst_address, trace.completed,
@@ -109,12 +111,16 @@ def _trace_to_wire(trace: TraceResult):
 
 
 def _trace_from_wire(payload) -> TraceResult:
-    """Rebuild a traceroute from :func:`_trace_to_wire` output."""
+    """Rebuild a traceroute from :func:`_trace_to_wire` output.
+
+    Every hop is a six-field sequence, from a worker's pipe or from a
+    parked shard the checkpoint schema validated, so each ``Hop`` is
+    built without the named tuple's Python-level ``__new__``.
+    """
     src, dst, completed, flow_id, vp_name, hops = payload
     return TraceResult(
         src_address=src, dst_address=dst,
-        hops=[Hop(i, a, r, rtt, ttl, tries)
-              for i, a, r, rtt, ttl, tries in hops],
+        hops=[_new_tuple(Hop, hop) for hop in hops],
         completed=completed, flow_id=flow_id, vp_name=vp_name,
     )
 
@@ -228,9 +234,11 @@ def _worker_main(conn, spec, plan_payload, tracer_config, heartbeat_interval):
             return
         _, shard, attempt = message
         try:
-            results, slow = _run_shard(
-                conn, tracer, vps, injector, shard, attempt, heartbeat_interval
-            )
+            with gc_paused():
+                results, slow = _run_shard(
+                    conn, tracer, vps, injector, shard, attempt,
+                    heartbeat_interval,
+                )
         except Exception as exc:  # noqa: BLE001 - reported to supervisor
             conn.send(
                 ("error", shard.shard_id, attempt,
@@ -364,7 +372,10 @@ class SupervisedCampaignRunner(CampaignRunner):
         return speculative.trace
 
     def run(self, jobs, stage="campaign", flow_id=0, keep_empty=False):
-        self._precompute(jobs, stage, flow_id)
+        # Ingesting the pool's traces builds the stage's corpus, as the
+        # serial runner's stage does: both run with the collector paused.
+        with gc_paused():
+            self._precompute(jobs, stage, flow_id)
         try:
             return super().run(
                 jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty

@@ -315,9 +315,11 @@ class Tracerouter:
         path and the hop plan once per (source, destination router,
         flapped tunnels) while the substrate is unchanged
         (:meth:`_hop_plan`), hash prefixes once per trace.  A hop whose
-        reply is fixed costs, fault-free, one RTT hash suffix; any other
-        probe pays the fault hooks, the reply-policy decision, the RTT
-        hash suffix and the rDNS dig.
+        reply is fixed costs one RTT hash suffix, plus one loss draw
+        when probe loss is the only per-probe fault; any other probe,
+        and every probe under rate limiting or rDNS timeouts, pays the
+        fault hooks, the reply-policy decision, the RTT hash suffix and
+        the rDNS dig.
         """
         if self.pace_ms > 0.0:
             time.sleep(self.pace_ms / 1000.0)
@@ -354,6 +356,16 @@ class Tracerouter:
         rtt_head = _hash_prefix(
             f"rtt|({source_addr!r}, {dst_address!r}, {flow_id!r}, "
         )
+        # A fixed step's reply is certain unless a fault is drawn per
+        # probe.  When probe loss is the only such fault, one loss draw
+        # decides the first probe; its key text shares the RTT key's
+        # "(source, dst, flow, " head and "ttl)" suffix.
+        fast = faults is None or faults.loss_only_per_probe
+        loss_head = (
+            faults.loss_key_head(source_addr, dst_address, flow_id)
+            if fast and faults is not None
+            else None
+        )
         jitter_ms = self.jitter_ms
         dig = network.rdns.dig
         hops = result.hops
@@ -362,26 +374,33 @@ class Tracerouter:
             router, inbound, one_way_ms, policy, fixed, reply, name,
             rtt_base, reply_ttl, is_final, rtt_suffix,
         ) in enumerate(plan, 1):
-            if (fixed and faults is None and router.policy is policy
+            if (fixed and fast and router.policy is policy
                     and (dst_exists or not is_final)):
-                # The reply is certain: only the RTT jitter is drawn,
-                # hashing the bytes _rtt would (see _extend_hash).
                 sent += 1
-                if is_final:
-                    reply, name = dst_text, network.rdns.ptr(dst_text)
-                    result.completed = True
-                state = rtt_head.copy()
-                state.update(rtt_suffix)
-                draw = int.from_bytes(state.digest(), "big")
-                hops.append(_new_tuple(Hop, (
-                    hop_index, reply, name,
-                    round(rtt_base + (draw % 1000) / 1000.0 * jitter_ms, 3),
-                    reply_ttl, 1,
-                )))
-                continue
+                if (loss_head is None
+                        or not faults.first_probe_lost(loss_head + rtt_suffix)):
+                    # The reply is certain: only the RTT jitter is drawn,
+                    # hashing the bytes _rtt would (see _extend_hash).
+                    if is_final:
+                        reply, name = dst_text, network.rdns.ptr(dst_text)
+                        result.completed = True
+                    state = rtt_head.copy()
+                    state.update(rtt_suffix)
+                    draw = int.from_bytes(state.digest(), "big")
+                    hops.append(_new_tuple(Hop, (
+                        hop_index, reply, name,
+                        round(rtt_base + (draw % 1000) / 1000.0 * jitter_ms, 3),
+                        reply_ttl, 1,
+                    )))
+                    continue
+                # Lost in flight: the retries take the per-probe path.
+                lost += 1
+                first_attempt = 1
+            else:
+                first_attempt = 0
             base_key = (source_addr, dst_address, flow_id, hop_index)
             hop = None
-            for attempt in range(self.attempts):
+            for attempt in range(first_attempt, self.attempts):
                 # Attempt 0 keeps the historical probe identity so the
                 # retry-free configuration reproduces the seed exactly.
                 probe_key = base_key if attempt == 0 else (*base_key, f"a{attempt}")

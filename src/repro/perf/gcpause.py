@@ -4,7 +4,9 @@ A campaign stage builds its corpus as hundreds of thousands of small
 tuples (``Hop``, ``TraceResult`` and their hop lists) that stay alive
 until the run ends and form no reference cycles.  Every full collection
 during the stage rescans all of them and frees nothing, so the runner
-pauses automatic collection while a stage executes its jobs.
+pauses automatic collection while a stage executes its jobs.  Under
+supervision the same holds for the supervisor while it ingests the
+pool's traces and for each worker while it runs a shard.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ got str``) instead of the raw ``KeyError``/``TypeError`` an ad-hoc
 
 The schema language is deliberately tiny: a spec is a Python type (or
 tuple of types), a nested ``dict`` schema, :class:`ListOf`,
-:class:`MapOf` (string-keyed objects), :class:`Opt` (optional key), or
-the :data:`ANY` sentinel.  ``bool`` is *not* accepted where ``int`` is
-expected, mirroring how JSON distinguishes the two.
+:class:`TupleOf` (fixed-length positional arrays), :class:`MapOf`
+(string-keyed objects), :class:`Opt` (optional key), or the :data:`ANY`
+sentinel.  ``bool`` is *not* accepted where ``int`` is expected,
+mirroring how JSON distinguishes the two.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class ListOf:
 
     def __init__(self, item) -> None:
         self.item = item
+
+
+class TupleOf:
+    """A JSON array of exactly ``len(items)`` values, matched in order."""
+
+    def __init__(self, *items) -> None:
+        self.items = items
 
 
 class MapOf:
@@ -103,6 +111,13 @@ def check(value, spec, path: str = "$") -> None:
         return
     if isinstance(spec, Opt):
         spec = spec.spec
+    if isinstance(spec, type):
+        # A bare type is the commonest spec; it has no structure to walk.
+        if not _matches_type(value, spec):
+            raise SchemaError(
+                f"{path}: expected {_expected_name(spec)}, got {_describe(value)}"
+            )
+        return
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise SchemaError(f"{path}: expected object, got {_describe(value)}")
@@ -119,6 +134,16 @@ def check(value, spec, path: str = "$") -> None:
         for index, item in enumerate(value):
             check(item, spec.item, f"{path}[{index}]")
         return
+    if isinstance(spec, TupleOf):
+        if not isinstance(value, list):
+            raise SchemaError(f"{path}: expected array, got {_describe(value)}")
+        if len(value) != len(spec.items):
+            raise SchemaError(
+                f"{path}: expected {len(spec.items)} items, got {len(value)}"
+            )
+        for index, (item, subspec) in enumerate(zip(value, spec.items)):
+            check(item, subspec, f"{path}[{index}]")
+        return
     if isinstance(spec, MapOf):
         if not isinstance(value, dict):
             raise SchemaError(f"{path}: expected object, got {_describe(value)}")
@@ -127,7 +152,17 @@ def check(value, spec, path: str = "$") -> None:
                 raise SchemaError(f"{path}: non-string key {key!r}")
             check(item, spec.value, f"{path}.{key}")
         return
-    if isinstance(spec, tuple) and any(not isinstance(t, type) for t in spec):
+    if isinstance(spec, tuple):
+        structured = False
+        for alternative in spec:
+            if not isinstance(alternative, type):
+                structured = True
+            elif _matches_type(value, alternative):
+                return
+        if not structured:
+            raise SchemaError(
+                f"{path}: expected {_expected_name(spec)}, got {_describe(value)}"
+            )
         # A union with structured alternatives (e.g. an object spec or
         # null): accept the first alternative that validates.
         errors = []
@@ -140,11 +175,7 @@ def check(value, spec, path: str = "$") -> None:
         raise SchemaError(
             f"{path}: no union alternative matched ({'; '.join(errors)})"
         )
-    expected = spec if isinstance(spec, tuple) else (spec,)
-    if not any(_matches_type(value, t) for t in expected):
-        raise SchemaError(
-            f"{path}: expected {_expected_name(spec)}, got {_describe(value)}"
-        )
+    raise TypeError(f"{path}: unsupported schema spec {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +286,21 @@ _CHECKPOINT_TRACE = {
     "hops": ListOf(_CHECKPOINT_HOP),
 }
 
+#: A supervised worker's trace on the wire (``_trace_to_wire``): src,
+#: dst, completed, flow id, VP name and hops of (index, address, rdns,
+#: rtt, reply TTL, attempts).
+_WIRE_TRACE = TupleOf(
+    str, str, bool, int, str,
+    ListOf(TupleOf(int, (str, _NoneType), (str, _NoneType),
+                   (float, _NoneType), (int, _NoneType), int)),
+)
+
+#: One parked shard result row: VP name, target, wire trace, the probe
+#: counter deltas and the fault-stat deltas (null without faults).
+_SHARD_RESULT = TupleOf(
+    str, str, _WIRE_TRACE, MapOf(float), (MapOf(int), _NoneType),
+)
+
 _CAMPAIGN_CHECKPOINT = {
     "schema": int,
     "kind": str,
@@ -272,7 +318,7 @@ _CAMPAIGN_CHECKPOINT = {
     }),
     "health": MapOf(ANY),
     "injector": MapOf(ANY),
-    "shards": Opt(MapOf(MapOf(ANY))),
+    "shards": Opt(MapOf(MapOf({"results": ListOf(_SHARD_RESULT)}))),
 }
 
 _QUARANTINE_REPORT = {

@@ -20,6 +20,7 @@ from repro.errors import RoutingError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.measure.traceroute import Tracerouter
+from repro.net.dns import RdnsStore
 from repro.net.link import PER_HOP_PROCESSING_MS
 from repro.net.mpls import MplsTunnel
 from repro.net.network import Network
@@ -470,3 +471,108 @@ def test_faulted_runs_with_flapped_tunnels_reuse_plans_per_flap_set():
     assert kernel_injector.stats.as_dict() == oracle_injector.stats.as_dict()
     assert kernel_injector.stats.lsp_flaps > 0
     assert any(down for _dst, down in kernel._plans)
+
+
+# ----------------------------------------------------------------------
+# The fast hop under fault plans of each shape
+# ----------------------------------------------------------------------
+#: Probe loss with each other fault class in turn.  Loss alone, LSP
+#: flaps and stale rDNS leave loss the only per-probe fault, so fixed
+#: steps take the fast hop; rate limiting and rDNS timeouts keep the
+#: per-probe path.
+PLAN_SHAPES = {
+    "loss": {},
+    "loss+lsp_flap": {"lsp_flap": 0.5},
+    "loss+stale_rdns": {"stale_rdns": 0.5},
+    "loss+rate_limit": {"rate_limit_share": 0.5},
+    "loss+rdns_timeout": {"rdns_timeout": 0.3},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(spec=scenarios(), seed=st.integers(0, 1000))
+def test_kernel_matches_the_oracle_under_each_plan_shape(shape, spec, seed):
+    net, vps, targets = build(spec)
+    plan = FaultPlan(seed=seed, probe_loss=0.2, **PLAN_SHAPES[shape])
+    knobs = {"attempts": spec["attempts"], "max_ttl": spec["max_ttl"]}
+    kernel = run_campaign(Tracerouter(net, **knobs), net, vps, targets, spec["flows"], plan)
+    oracle = run_campaign(OracleTracer(net, **knobs), net, vps, targets, spec["flows"], plan)
+    assert kernel == oracle
+
+
+def test_loss_draws_key_on_the_destination_as_spelled():
+    """Non-canonical IPv6 targets: the probe key keeps the raw text."""
+    spec = {
+        "policies": [ReplyPolicy()] * 4,
+        "loopbacks": [False] * 4,
+        "asns": [1] * 4,
+        "links": [(0, 1, 10.0, None, True), (1, 2, 10.0, None, True), (2, 3, 10.0, None, True)],
+        "prefixes": [("2001:db8:1::/48", 3)],
+        "tunnels": [],
+        "lsr_rules": [],
+        "vps": [(0, None)],
+        "targets": [],
+        "flows": [0],
+        "attempts": 2,
+        "max_ttl": 32,
+        "faults": None,
+        "valley_free": False,
+    }
+    net, vps, _ = build(spec)
+    targets = [f"2001:DB8:1:0:0:0:0:{k:X}" for k in range(1, 31)]
+    plan = FaultPlan(seed=2, probe_loss=0.3)
+    kernel = run_campaign(Tracerouter(net, attempts=2), net, vps, targets, [0, 1], plan)
+    oracle = run_campaign(OracleTracer(net, attempts=2), net, vps, targets, [0, 1], plan)
+    assert kernel == oracle
+    assert kernel[2]["probes_lost"] > 0
+
+
+def counting_calls(monkeypatch, cls, name):
+    """Count calls of method *name* on every instance of *cls*."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_answered_first_probes_skip_the_reply_policy_and_dig(monkeypatch, toy_network, attempts):
+    net, routers = toy_network
+    responses = counting_calls(monkeypatch, Router, "probe_response")
+    digs = counting_calls(monkeypatch, RdnsStore, "dig")
+    src = [(routers["src"], None)]
+    targets = [f"198.18.5.{k}" for k in range(1, 41)]
+    plan = FaultPlan(seed=5, probe_loss=0.2)
+    injector = FaultInjector(plan)
+    kernel = Tracerouter(net, attempts=attempts)
+    net.attach_faults(injector)
+    traces = vp_major(kernel, src, targets, [0])
+    net.detach_faults()
+    # Only the retries of lost first probes took the per-probe path.
+    retried_answers = sum(1 for t in traces for hop in t.hops if hop.attempts > 1 and hop.responded)
+    assert len(responses) == len(digs) == retried_answers
+    assert injector.stats.probes_lost == kernel.probes_lost > 0
+    assert (retried_answers > 0) == (attempts > 1)
+    oracle_injector = FaultInjector(plan)
+    oracle = OracleTracer(net, attempts=attempts)
+    net.attach_faults(oracle_injector)
+    assert traces == vp_major(oracle, src, targets, [0])
+    net.detach_faults()
+    assert kernel.counters() == oracle.counters()
+    assert injector.stats.as_dict() == oracle_injector.stats.as_dict()
+
+
+def test_rate_limited_plans_keep_the_per_probe_path(monkeypatch, toy_network):
+    net, routers = toy_network
+    responses = counting_calls(monkeypatch, Router, "probe_response")
+    net.attach_faults(FaultInjector(FaultPlan(seed=5, probe_loss=0.2, rate_limit_share=0.5)))
+    kernel = Tracerouter(net)
+    vp_major(kernel, [(routers["src"], None)], ["10.0.0.14"], [0])
+    net.detach_faults()
+    assert len(responses) == kernel.probes_sent - kernel.probes_lost

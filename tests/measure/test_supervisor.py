@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
@@ -87,6 +88,57 @@ class TestWireFormat:
         # tuples into lists; rebuilding must accept that form too.
         relisted = json.loads(json.dumps(wire))
         assert trace_to_dict(_trace_from_wire(relisted)) == trace_to_dict(trace)
+
+
+def _parked_checkpoint(path):
+    """A checkpoint holding one parked shard of two real result rows."""
+    tracer, vps = toy_substrate(hosts=1)
+    vp = vps["vp0"]
+    rows = []
+    for target, fault_delta in (("198.18.5.1", None), ("198.18.5.2", {"probes_lost": 1})):
+        trace = tracer.trace(vp.host, target, src_address=vp.src_address)
+        trace.vp_name = vp.name
+        rows.append((vp.name, target, _trace_to_wire(trace), tracer.counters(), fault_delta))
+    checkpoint = CampaignCheckpoint(path)
+    checkpoint.record_shard("s", "s-0", {"results": rows})
+    checkpoint.save()
+    return json.loads(path.read_text())
+
+
+#: A corruption of the parked payload, and the JSON path it is named by.
+_ROW_CORRUPTIONS = {
+    "hop truncated to 3 fields": (lambda row: row[2][5][0].__delitem__(slice(3, None)), "[2][5][0]"),
+    "hop with a 7th field": (lambda row: row[2][5][0].append(1), "[2][5][0]"),
+    "hop address not a string": (lambda row: row[2][5][0].__setitem__(1, 7), "[2][5][0][1]"),
+    "trace missing its hops": (lambda row: row[2].pop(), "[2]"),
+    "completed not a bool": (lambda row: row[2].__setitem__(2, 1), "[2][2]"),
+    "row missing its fault delta": (lambda row: row.pop(), "$.shards.s.s-0.results[1]"),
+    "tracer delta not numeric": (lambda row: row[3].__setitem__("probes_sent", "x"), "[3].probes_sent"),
+}
+
+
+class TestParkedShardRows:
+    def test_real_rows_load_and_rebuild(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        payload = _parked_checkpoint(path)
+        results = CampaignCheckpoint.load(path).shard_results("s")["s-0"]["results"]
+        assert results == payload["shards"]["s"]["s-0"]["results"]
+        for _vp, _target, wire, _tracer_delta, _fault_delta in results:
+            assert _trace_to_wire(_trace_from_wire(wire)) == tuple(
+                [*wire[:5], [tuple(hop) for hop in wire[5]]]
+            )
+
+    @pytest.mark.parametrize("corruption", sorted(_ROW_CORRUPTIONS))
+    def test_a_malformed_row_fails_the_load(self, tmp_path, corruption):
+        path = tmp_path / "ckpt.json"
+        payload = _parked_checkpoint(path)
+        corrupt, where = _ROW_CORRUPTIONS[corruption]
+        corrupt(payload["shards"]["s"]["s-0"]["results"][1])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint") as failure:
+            CampaignCheckpoint.load(path)
+        assert where in str(failure.value)
+        assert "$.shards.s.s-0.results[1]" in str(failure.value)
 
 
 class TestFaultFreeParity:

@@ -25,6 +25,17 @@ CHECKPOINT_VARIANTS = {
         {"schema": 1, "kind": "campaign-checkpoint", "stages": "nope",
          "health": {}, "injector": {}, "shards": {}}
     ),
+    # A parked shard whose hop row lost its last three fields.
+    "truncated-shard-hop": json.dumps(
+        {"schema": 1, "kind": "campaign-checkpoint", "stages": {},
+         "health": {}, "injector": {},
+         "shards": {"slash24": {"slash24-0000": {"results": [
+             ["vp0", "198.18.5.1",
+              ["10.9.0.2", "198.18.5.1", False, 0, "vp0",
+               [[1, "10.0.0.1", None]]],
+              {"probes_sent": 1}, None],
+         ]}}}}
+    ),
 }
 
 JOURNAL_VARIANTS = {

@@ -11,6 +11,7 @@ from repro.validate.schema import (
     ListOf,
     MapOf,
     Opt,
+    TupleOf,
     artifact_kind,
     check,
     parse_artifact,
@@ -51,6 +52,22 @@ class TestCheck:
         spec = ListOf(ListOf(str))
         with pytest.raises(SchemaError, match=r"\$\[0\]\[1\]"):
             check([["ok", 7]], spec)
+
+    def test_tuple_of_matches_items_in_order(self):
+        spec = TupleOf(str, int, (float, type(None)))
+        check(["a", 1, None], spec)
+        check(["a", 1, 2.5], spec)
+        with pytest.raises(SchemaError, match=r"\$\[1\]: expected int, got string"):
+            check(["a", "b", None], spec)
+
+    def test_tuple_of_requires_its_exact_length(self):
+        spec = TupleOf(str, int)
+        with pytest.raises(SchemaError, match=r"\$: expected 2 items, got 1"):
+            check(["a"], spec)
+        with pytest.raises(SchemaError, match=r"\$: expected 2 items, got 3"):
+            check(["a", 1, 2], spec)
+        with pytest.raises(SchemaError, match=r"\$: expected array, got object"):
+            check({"a": 1}, spec)
 
     def test_map_of(self):
         check({"a": 1, "b": 2}, MapOf(int))
