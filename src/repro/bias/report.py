@@ -3,9 +3,9 @@
 One JSON document per lab run: species estimates next to their ground
 truth, the optimized placement next to its random baseline, and the
 streaming digest-parity verdict.  CI regenerates the seeded scenario
-and gates on the committed copy (estimator accuracy floor, placement
-beating random, parity true) via
-``benchmarks/perf/check_regression.py --bias-report``.
+and requires it to equal the committed copy, which
+``tests/bias/test_report.py`` gates (estimator accuracy floor,
+placement beating random, parity true).
 """
 
 from __future__ import annotations

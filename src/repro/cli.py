@@ -58,17 +58,19 @@ def _export_corpus(args, result) -> None:
 
     JSON mode writes the validated ``trace-corpus`` artifact; binary
     mode writes the columnar ``.npz`` container.  Both load back through
-    the schema layer.
+    the schema layer.  A binary campaign already lifted both corpora for
+    inference, so only JSON mode lifts them here.
     """
     from repro.corpus import TraceCorpus, corpus_to_json, save_corpus
     from repro.io.atomic import atomic_write_text
 
     out = pathlib.Path(args.corpus_out)
     followup_out = out.with_name(f"{out.stem}.followup{out.suffix}")
-    corpora = (
-        (out, TraceCorpus.from_traces(result.traces)),
-        (followup_out, TraceCorpus.from_traces(result.followup_traces)),
-    )
+    corpus, followup_corpus = result.corpus, result.followup_corpus
+    if corpus is None:
+        corpus = TraceCorpus.from_traces(result.traces)
+        followup_corpus = TraceCorpus.from_traces(result.followup_traces)
+    corpora = ((out, corpus), (followup_out, followup_corpus))
     for path, corpus in corpora:
         if args.corpus_format == "binary":
             save_corpus(path, corpus)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import pathlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.alias.resolve import AliasResolver, AliasSets
 from repro.errors import MeasurementError
@@ -48,6 +49,9 @@ from repro.topology.isp import (
 from repro.validate.invariants import InvariantGuard
 from repro.validate.quarantine import QuarantineReport
 
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only for binary runs
+    from repro.corpus import TraceCorpus
+
 
 #: Re-export under the historical name used across examples/benchmarks.
 InferredRegion = RefinedRegion
@@ -68,6 +72,10 @@ class CableInferenceResult:
     aliases: "AliasSets | None" = None
     traces: "list[TraceResult]" = field(default_factory=list)
     followup_traces: "list[TraceResult]" = field(default_factory=list)
+    #: The columnar lifts of both corpora; None unless the campaign ran
+    #: with ``corpus_format="binary"``.
+    corpus: "TraceCorpus | None" = None
+    followup_corpus: "TraceCorpus | None" = None
     #: Campaign cost/loss accounting; None only for hand-built results.
     health: "CampaignHealth | None" = None
     #: Diverted conflicting observations; None when validation is off.
@@ -475,6 +483,8 @@ class CableInferencePipeline:
             aliases=aliases,
             traces=traces,
             followup_traces=followups,
+            corpus=corpus,
+            followup_corpus=followup_corpus,
             health=self.runner.health if self.runner is not None else None,
             quarantine=quarantine,
         )

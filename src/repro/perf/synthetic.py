@@ -1,13 +1,12 @@
-"""Synthetic large-region corpora for the benchmark harness.
+"""Synthetic large-region corpora for inference tests and benchmarks.
 
 Builds a deterministic traceroute corpus shaped like a real cable-ISP
 campaign — regional COs with Comcast-style rDNS, backbone prefixes,
 MPLS tunnels whose interiors only the follow-up (DPR) corpus reveals,
 stale cross-region PTR records, and single-observation noise — without
-paying for packet-level simulation.  The benchmark runs the *inference*
-phase (IP→CO mapping, adjacency extraction/pruning, refinement, entry
-inference) over this corpus in both unmemoized-baseline and optimized
-configurations.
+paying for packet-level simulation.  Inference (IP→CO mapping,
+adjacency extraction/pruning, refinement) runs over it at scales no
+simulated campaign reaches cheaply.
 
 Everything is drawn from one seeded ``random.Random``; the same
 arguments always produce byte-identical corpora.
@@ -19,21 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.alias.resolve import AliasSets
-from repro.measure.traceroute import Hop, TraceResult
 from repro.net.dns import RdnsStore
-
-
-@dataclass
-class SyntheticCorpus:
-    """One generated campaign: corpora plus the stores inference reads."""
-
-    isp: str
-    rdns: RdnsStore
-    traces: "list[TraceResult]" = field(default_factory=list)
-    followups: "list[TraceResult]" = field(default_factory=list)
-    aliases: AliasSets = field(default_factory=lambda: AliasSets([]))
-    co_count: int = 0
-    link_pairs: int = 0
 
 
 @dataclass
@@ -41,14 +26,12 @@ class SyntheticPlan:
     """A generated campaign as bare address chains, before any trace
     materialization.
 
-    The plan is the single source both corpus shapes derive from:
-    :func:`build_synthetic_region_corpus` lifts the chains into
-    :class:`TraceResult` object graphs (the digest-parity oracle),
-    :func:`build_synthetic_columnar_corpus` streams them straight into
-    a :class:`~repro.corpus.columnar.CorpusBuilder` with no per-hop
-    objects at all — the rewritten trace-accumulation path.  Every RNG
-    draw happens while planning, so both shapes are byte-equivalent
-    views of the same campaign.
+    Every RNG draw happens while planning;
+    :func:`build_synthetic_columnar_corpus` then streams the chains
+    straight into a :class:`~repro.corpus.columnar.CorpusBuilder` with
+    no per-hop objects at all.  ``TraceCorpus.to_traces`` gives the
+    same campaign as :class:`~repro.measure.traceroute.TraceResult`
+    objects for the object-graph adapters.
     """
 
     isp: str
@@ -60,21 +43,10 @@ class SyntheticPlan:
     link_pairs: int = 0
 
 
-#: Chain endpoints shared by both materializations.
+#: Endpoints of every chain: one source, and a placeholder destination
+#: for an empty chain.
 _SRC_ADDRESS = "192.0.2.1"
 _EMPTY_DST = "192.0.2.2"
-
-
-def _trace(addresses: "list[str]") -> TraceResult:
-    hops = [
-        Hop(index=i + 1, address=address)
-        for i, address in enumerate(addresses)
-    ]
-    return TraceResult(
-        src_address=_SRC_ADDRESS,
-        dst_address=addresses[-1] if addresses else _EMPTY_DST,
-        hops=hops,
-    )
 
 
 def build_synthetic_region_plan(
@@ -91,8 +63,7 @@ def build_synthetic_region_plan(
 ) -> SyntheticPlan:
     """Generate a campaign plan over ``regions × cos_per_region`` COs.
 
-    Defaults produce 60 COs and 20k main-corpus chains — the "large
-    synthetic region" scale the PR-3 benchmark is defined over.
+    Defaults produce 60 COs and 20k main-corpus chains.
     """
     rng = random.Random(seed)
     corpus = SyntheticPlan(isp="comcast", rdns=RdnsStore())
@@ -219,29 +190,14 @@ def build_synthetic_region_plan(
     return corpus
 
 
-def build_synthetic_region_corpus(**kwargs) -> SyntheticCorpus:
-    """The planned campaign as :class:`TraceResult` object graphs."""
-    plan = build_synthetic_region_plan(**kwargs)
-    return SyntheticCorpus(
-        isp=plan.isp,
-        rdns=plan.rdns,
-        traces=[_trace(chain) for chain in plan.trace_chains],
-        followups=[_trace(chain) for chain in plan.followup_chains],
-        aliases=plan.aliases,
-        co_count=plan.co_count,
-        link_pairs=plan.link_pairs,
-    )
-
-
 def build_synthetic_columnar_corpus(**kwargs):
     """The planned campaign accumulated straight into columnar corpora.
 
     Returns ``(plan, corpus, followup_corpus)``: the chains stream
     through :class:`~repro.corpus.columnar.CorpusBuilder.add_path`
-    without constructing a single :class:`Hop` or :class:`TraceResult`
-    — the trace-accumulation hot path the benchmark measures.  The
-    result is column-identical to ``TraceCorpus.from_traces`` over
-    :func:`build_synthetic_region_corpus`'s objects for equal kwargs.
+    without constructing a single ``Hop`` or ``TraceResult``.  Their
+    ``to_traces()`` round-trips through ``TraceCorpus.from_traces``
+    column for column.
     """
     from repro.corpus import CorpusBuilder
 

@@ -101,67 +101,46 @@ def _expected_name(spec) -> str:
     return _TYPE_NAMES.get(spec, getattr(spec, "__name__", str(spec)))
 
 
-def check(value, spec, path: str = "$") -> None:
+def _spell(path) -> str:
+    """Spell out a lazy path: a root string, or ``(parent, key)`` pairs
+    whose str keys are object fields and int keys array indices."""
+    parts = []
+    while isinstance(path, tuple):
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    parts.append(path)
+    return "".join(reversed(parts))
+
+
+def check(value, spec, path="$") -> None:
     """Validate *value* against *spec*, raising :class:`SchemaError`.
 
     The error message always starts with the JSON path of the offending
-    value, so a diagnostic can be surfaced as a single line.
+    value, so a diagnostic can be surfaced as a single line.  Validation
+    visits every value of a document (a checkpoint with 50,000 parked
+    shard rows holds 3.6 million) and almost all of them pass, so the
+    path travels as ``(parent, key)`` pairs and is spelled out only when
+    a check raises.  Specs dispatch on their exact class, commonest
+    first: bare types, then unions of them.
     """
-    if spec is ANY:
-        return
-    if isinstance(spec, Opt):
-        spec = spec.spec
-    if isinstance(spec, type):
-        # A bare type is the commonest spec; it has no structure to walk.
+    kind = type(spec)
+    if kind is type:
+        # A bare type has no structure to walk.
         if not _matches_type(value, spec):
             raise SchemaError(
-                f"{path}: expected {_expected_name(spec)}, got {_describe(value)}"
+                f"{_spell(path)}: expected {_expected_name(spec)}, got {_describe(value)}"
             )
         return
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            raise SchemaError(f"{path}: expected object, got {_describe(value)}")
-        for key, subspec in spec.items():
-            if key not in value:
-                if isinstance(subspec, Opt):
-                    continue
-                raise SchemaError(f"{path}.{key}: missing required field")
-            check(value[key], subspec, f"{path}.{key}")
-        return
-    if isinstance(spec, ListOf):
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected array, got {_describe(value)}")
-        for index, item in enumerate(value):
-            check(item, spec.item, f"{path}[{index}]")
-        return
-    if isinstance(spec, TupleOf):
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected array, got {_describe(value)}")
-        if len(value) != len(spec.items):
-            raise SchemaError(
-                f"{path}: expected {len(spec.items)} items, got {len(value)}"
-            )
-        for index, (item, subspec) in enumerate(zip(value, spec.items)):
-            check(item, subspec, f"{path}[{index}]")
-        return
-    if isinstance(spec, MapOf):
-        if not isinstance(value, dict):
-            raise SchemaError(f"{path}: expected object, got {_describe(value)}")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SchemaError(f"{path}: non-string key {key!r}")
-            check(item, spec.value, f"{path}.{key}")
-        return
-    if isinstance(spec, tuple):
+    if kind is tuple:
         structured = False
         for alternative in spec:
-            if not isinstance(alternative, type):
+            if type(alternative) is not type:
                 structured = True
             elif _matches_type(value, alternative):
                 return
         if not structured:
             raise SchemaError(
-                f"{path}: expected {_expected_name(spec)}, got {_describe(value)}"
+                f"{_spell(path)}: expected {_expected_name(spec)}, got {_describe(value)}"
             )
         # A union with structured alternatives (e.g. an object spec or
         # null): accept the first alternative that validates.
@@ -173,9 +152,50 @@ def check(value, spec, path: str = "$") -> None:
             except SchemaError as exc:
                 errors.append(str(exc))
         raise SchemaError(
-            f"{path}: no union alternative matched ({'; '.join(errors)})"
+            f"{_spell(path)}: no union alternative matched ({'; '.join(errors)})"
         )
-    raise TypeError(f"{path}: unsupported schema spec {spec!r}")
+    if spec is ANY:
+        return
+    if kind is Opt:
+        check(value, spec.spec, path)
+        return
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise SchemaError(f"{_spell(path)}: expected object, got {_describe(value)}")
+        for key, subspec in spec.items():
+            if key not in value:
+                if type(subspec) is Opt:
+                    continue
+                raise SchemaError(f"{_spell((path, key))}: missing required field")
+            check(value[key], subspec, (path, key))
+        return
+    if kind is ListOf:
+        if not isinstance(value, list):
+            raise SchemaError(f"{_spell(path)}: expected array, got {_describe(value)}")
+        item_spec = spec.item
+        for index, item in enumerate(value):
+            check(item, item_spec, (path, index))
+        return
+    if kind is TupleOf:
+        if not isinstance(value, list):
+            raise SchemaError(f"{_spell(path)}: expected array, got {_describe(value)}")
+        if len(value) != len(spec.items):
+            raise SchemaError(
+                f"{_spell(path)}: expected {len(spec.items)} items, got {len(value)}"
+            )
+        for index, (item, subspec) in enumerate(zip(value, spec.items)):
+            check(item, subspec, (path, index))
+        return
+    if kind is MapOf:
+        if not isinstance(value, dict):
+            raise SchemaError(f"{_spell(path)}: expected object, got {_describe(value)}")
+        value_spec = spec.value
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise SchemaError(f"{_spell(path)}: non-string key {key!r}")
+            check(item, value_spec, (path, key))
+        return
+    raise TypeError(f"{_spell(path)}: unsupported schema spec {spec!r}")
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.bias.incremental import (
 )
 from repro.errors import InferenceError
 from repro.rdns.regexes import HostnameParser
+from synthetic_inference import SHAPES, build_shape
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,19 @@ class TestStreamingParity:
         regions = lab_result.snapshot.regions
         reordered = dict(sorted(regions.items(), reverse=True))
         assert region_digest(regions) == region_digest(reordered)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_streaming_snapshot_matches_the_batch_digest(shape, parser):
+    """Trace-by-trace ingest of a synthetic campaign snapshots to the
+    region digest the batch stages are pinned to."""
+    plan, corpus, followups = build_shape(shape)
+    graph = IncrementalCoGraph(plan.rdns, plan.isp, parser=parser)
+    for trace in corpus.to_traces():
+        graph.ingest(trace)
+    for trace in followups.to_traces():
+        graph.ingest_followup(trace)
+    assert graph.snapshot(aliases=plan.aliases).digest == SHAPES[shape][1]
 
 
 class TestEpochDetector:

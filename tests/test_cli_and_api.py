@@ -130,6 +130,31 @@ class TestRouteModelWorkers:
         assert parameters["workers"] == 2
 
 
+class TestCorpusExport:
+    @pytest.mark.parametrize("corpus_format", ["binary", "json"])
+    def test_each_corpus_is_lifted_once(self, tmp_path, monkeypatch, corpus_format):
+        """A binary campaign exports the corpora its inference already
+        lifted; a JSON campaign lifts them only for the export."""
+        from repro.corpus import TraceCorpus, load_corpus
+        from repro.infer.pipeline import CableInferencePipeline
+
+        for name in ("slash24_targets", "rdns_targets"):
+            full = getattr(CableInferencePipeline, name)
+            monkeypatch.setattr(CableInferencePipeline, name, lambda self, full=full: full(self)[:8])
+        lifted = []
+        from_traces = TraceCorpus.from_traces.__func__
+        monkeypatch.setattr(TraceCorpus, "from_traces",
+                            classmethod(lambda cls, traces: lifted.append(len(traces)) or from_traces(cls, traces)))
+        out = tmp_path / "corpus.out"
+        assert main(["map-cable", "charter", "--sweep-vps", "1", "--corpus-format", corpus_format,
+                     "--corpus-out", str(out)]) == 0
+        assert len(lifted) == 2
+        paths = (out, tmp_path / "corpus.followup.out")
+        if corpus_format == "binary":
+            assert [len(load_corpus(path)) for path in paths] == lifted
+        assert all(path.exists() for path in paths)
+
+
 class TestCorruptCheckpointResume:
     def test_resume_from_corrupt_checkpoint_is_a_clean_error(
         self, tmp_path, capsys

@@ -87,6 +87,29 @@ class TestCheck:
     def test_extra_keys_tolerated(self):
         check({"known": 1, "future": "field"}, {"known": int})
 
+    @pytest.mark.parametrize("results, message", [
+        ([["v", None, [{"a": 1}, {"a": "x"}]]],
+         "$.shards.s24.s1.results[0][2][1].a: expected int, got string"),
+        ([["v", {"k": 1.5}, []]],
+         "$.shards.s24.s1.results[0][1]: no union alternative matched "
+         "($.shards.s24.s1.results[0][1].k: expected int, got number; "
+         "$.shards.s24.s1.results[0][1]: expected null, got object)"),
+        ([["v", None, [{}]]],
+         "$.shards.s24.s1.results[0][2][0].a: missing required field"),
+    ])
+    def test_deep_paths_are_spelled_out_in_full(self, results, message):
+        spec = {"shards": Opt(MapOf(MapOf({"results": ListOf(TupleOf(
+            str, (MapOf(int), type(None)), ListOf({"a": int}),
+        ))})))}
+        with pytest.raises(SchemaError) as caught:
+            check({"shards": {"s24": {"s1": {"results": results}}}}, spec)
+        assert str(caught.value) == message
+
+    def test_non_string_key_names_its_parent(self):
+        with pytest.raises(SchemaError) as caught:
+            check({"shards": {"s24": {3: {}}}}, {"shards": MapOf(MapOf(ANY))})
+        assert str(caught.value) == "$.shards.s24: non-string key 3"
+
 
 class TestArtifacts:
     def _minimal_region(self):
