@@ -115,7 +115,6 @@ def _campaign_side(supervised: bool) -> dict:
 
 
 def _inference_side(columnar: bool) -> dict:
-    import repro.net  # noqa: F401  (repro.perf resolves its import cycle only after repro.net)
     from repro.bias.incremental import region_digest
     from repro.infer.adjacency import AdjacencyExtractor
     from repro.infer.ip2co import Ip2CoMapper

@@ -32,8 +32,8 @@ from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex, RegionAdjac
 from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RegionRefiner
 from repro.measure.traceroute import TraceResult
+from repro.net.addresses import normalize_address
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address
 
 
 def region_digest(regions: "dict") -> str:

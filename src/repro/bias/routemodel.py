@@ -7,7 +7,7 @@ differently-biased corpora:
 
 * :class:`ValleyFreeRouteModel` — Gao export policy over the
   AS-relationship graph (uphill ``c2p*``, at most one ``p2p``,
-  downhill ``p2c*``), implemented as a Dijkstra over ``(router,
+  downhill ``p2c*``), implemented as a shortest path over ``(router,
   phase)`` states.  The backbone generators today fake this with a
   metric penalty on ISP backbone links (see
   ``BaseIsp.mesh_backbone``); the model is the principled version.
@@ -15,18 +15,21 @@ differently-biased corpora:
   packet to its *cheapest* usable border exit measured from the
   ingress, ignoring the cost beyond the border.
 
-Both keep the default's paris-traceroute contract: equal-cost choices
-are broken by a deterministic hash of the flow id, so a fixed flow sees
-one stable path.  ASN annotations come from ground truth
-(:func:`annotate_asns`) — route models are substrate configuration, not
-inference, so reading ground truth here is in-bounds.
+Both run the substrate's one equal-cost engine
+(:meth:`~repro.net.network.Network.shortest_paths` with their own edge
+rule, and :func:`~repro.net.network.walk_back`), so their trees share
+the SPF cache and its drop rule.  Both keep the default's
+paris-traceroute contract: equal-cost choices are broken by a
+deterministic hash of the flow id, so a fixed flow sees one stable
+path.  ASN annotations come from ground truth (:func:`annotate_asns`)
+— route models are substrate configuration, not inference, so reading
+ground truth here is in-bounds.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from repro.errors import TopologyError
+from repro.net.network import walk_back
 from repro.net.router import Router, _stable_hash
 from repro.topology.asrel import AsGraph, valley_free_next_phase
 
@@ -132,7 +135,23 @@ _PHASES = ("up", "peer", "down")
 _PHASE_INDEX = {phase: i for i, phase in enumerate(_PHASES)}
 
 
-class ValleyFreeRouteModel:
+class _PolicyRouteModel:
+    """What both policy models share: the AS graph and ASN labelling."""
+
+    def __init__(self, as_graph: "AsGraph | None") -> None:
+        self.as_graph = as_graph
+        #: Network version whose routers were last labelled.
+        self._labelled = None
+
+    def _label(self, network) -> None:
+        """Label routers attached since the last call (vantage-point
+        hosts arrive unlabelled, after the model is built)."""
+        if self._labelled != network.version:
+            relax_unlabeled_asns(network)
+            self._labelled = network.version
+
+
+class ValleyFreeRouteModel(_PolicyRouteModel):
     """Valley-free policy routing as a state-space shortest path.
 
     States are ``(router, phase)``; crossing an inter-AS link consults
@@ -146,66 +165,23 @@ class ValleyFreeRouteModel:
 
     name = "valley-free"
 
-    def __init__(self, as_graph: AsGraph) -> None:
-        self.as_graph = as_graph
-        #: src uid → (dist, preds) over states; invalidated when the
-        #: topology grows (models attach to finished topologies).
-        self._cache: "dict[str, tuple[dict, dict]]" = {}
-        self._cache_links = -1
-
-    # ------------------------------------------------------------------
-    def _edge_phase(self, phase: str, asn_u: int, asn_v: int) -> "str | None":
-        if asn_u == asn_v or not asn_u or not asn_v:
-            return phase
-        return valley_free_next_phase(
-            phase, self.as_graph.rel_of(asn_u, asn_v)
-        )
-
-    def _sssp(self, network, src_uid: str):
-        if self._cache_links != len(network.links):
-            # New links mean new routers too (freshly attached VP
-            # hosts); label them before computing policy paths.
-            relax_unlabeled_asns(network)
-            self._cache.clear()
-            self._cache_links = len(network.links)
-        cached = self._cache.get(src_uid)
-        if cached is not None:
-            return cached
-        routers = network.routers
-        start = (src_uid, "up")
-        dist: "dict[tuple[str, str], float]" = {start: 0.0}
-        preds: "dict[tuple[str, str], list[tuple[str, str]]]" = {start: []}
-        heap = [(0.0, src_uid, "up")]
-        while heap:
-            d, u, phase = heapq.heappop(heap)
-            state = (u, phase)
-            if d > dist.get(state, float("inf")):
-                continue
-            asn_u = routers[u].asn
-            for v, w, _link in network._adj[u]:
-                next_phase = self._edge_phase(phase, asn_u, routers[v].asn)
-                if next_phase is None:
-                    continue
-                nd = d + w
-                nstate = (v, next_phase)
-                old = dist.get(nstate, float("inf"))
-                if nd < old - 1e-12:
-                    dist[nstate] = nd
-                    preds[nstate] = [state]
-                    heapq.heappush(heap, (nd, v, next_phase))
-                elif (
-                    abs(nd - old) <= 1e-12
-                    and state not in preds[nstate]
-                    and w > 0
-                ):
-                    preds[nstate].append(state)
-        self._cache[src_uid] = (dist, preds)
-        return dist, preds
+    def _step(self, state, here: Router, there: Router):
+        """The Gao phase rule, as an edge rule for ``shortest_paths``."""
+        phase = state[1]
+        if here.asn != there.asn and here.asn and there.asn:
+            phase = valley_free_next_phase(
+                phase, self.as_graph.rel_of(here.asn, there.asn)
+            )
+            if phase is None:
+                return None
+        return (there.uid, phase)
 
     def forwarding_path(
         self, network, src: Router, dst: Router, flow_id: object = 0
     ) -> "list[Router] | None":
-        dist, preds = self._sssp(network, src.uid)
+        self._label(network)
+        start = (src.uid, "up")
+        dist, preds = network.shortest_paths(start, self._step)
         terminals = [
             (dist[(dst.uid, phase)], _PHASE_INDEX[phase], phase)
             for phase in _PHASES
@@ -214,24 +190,13 @@ class ValleyFreeRouteModel:
         if not terminals:
             return None
         _, _, best_phase = min(terminals)
-        state = (dst.uid, best_phase)
-        path_uids = [dst.uid]
-        while state != (src.uid, "up"):
-            options = preds[state]
-            if len(options) == 1:
-                state = options[0]
-            else:
-                ordered = sorted(options)
-                choice = _stable_hash(
-                    "vf-ecmp", flow_id, state[0], state[1]
-                ) % len(ordered)
-                state = ordered[choice]
-            path_uids.append(state[0])
-        path_uids.reverse()
-        return [network.routers[uid] for uid in path_uids]
+        states = walk_back(
+            preds, start, (dst.uid, best_phase), ("vf-ecmp", flow_id)
+        )
+        return [network.routers[uid] for uid, _phase in states]
 
 
-class HotPotatoRouteModel:
+class HotPotatoRouteModel(_PolicyRouteModel):
     """Per-AS early-exit (hot-potato) routing.
 
     At each AS boundary the current AS picks the border link whose
@@ -249,8 +214,7 @@ class HotPotatoRouteModel:
         #: Restricts usable exits to BGP neighbours that would actually
         #: advertise a route to the destination (export rule below);
         #: without a graph every inter-AS link is assumed usable.
-        self.as_graph = as_graph
-        self._seen_links = -1
+        super().__init__(as_graph)
         self._cones: "dict[int, frozenset[int]]" = {}
         self._vf_reach: "dict[int, frozenset[int]]" = {}
 
@@ -308,109 +272,67 @@ class HotPotatoRouteModel:
         return d_asn in self._valley_free_reach(n_asn)
 
     # ------------------------------------------------------------------
-    def _intra_as_paths(self, network, start: Router):
-        """Dijkstra restricted to *start*'s AS: uid → (dist, preds)."""
-        asn = start.asn
-        routers = network.routers
-        dist = {start.uid: 0.0}
-        preds: "dict[str, list[str]]" = {start.uid: []}
-        heap = [(0.0, start.uid)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            for v, w, _link in network._adj[u]:
-                if routers[v].asn != asn:
-                    continue
-                nd = d + w
-                old = dist.get(v, float("inf"))
-                if nd < old - 1e-12:
-                    dist[v] = nd
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - old) <= 1e-12 and u not in preds[v] and w > 0:
-                    preds[v].append(u)
-        return dist, preds
-
     @staticmethod
-    def _walk_back(network, preds, src_uid: str, dst_uid: str, flow_id):
-        path_uids = [dst_uid]
-        node = dst_uid
-        while node != src_uid:
-            options = preds[node]
-            if len(options) == 1:
-                node = options[0]
-            else:
-                ordered = sorted(options)
-                node = ordered[
-                    _stable_hash("hp-ecmp", flow_id, node) % len(ordered)
-                ]
-            path_uids.append(node)
-        path_uids.reverse()
-        return path_uids
+    def _hop(state, here: Router, there: Router):
+        """Edge rule of an ingress tree: ``(uid,)`` states span the
+        ingress's AS, and each link out of it to a labelled router ends
+        in an ``(exit uid, border uid)`` state, where the tree stops."""
+        if len(state) == 2:
+            return None
+        if there.asn == here.asn:
+            return (there.uid,)
+        return (there.uid, here.uid) if there.asn else None
 
     def forwarding_path(
         self, network, src: Router, dst: Router, flow_id: object = 0
     ) -> "list[Router] | None":
         routers = network.routers
-        if self._seen_links != len(network.links):
-            # Freshly attached VP hosts arrive unlabelled; label them
-            # before deciding the flow is un-segmentable.
-            relax_unlabeled_asns(network)
-            self._seen_links = len(network.links)
+        self._label(network)
         if not src.asn or not dst.asn or src.asn == dst.asn:
             return None
-        # Reachability oracle: the substrate's links are symmetric, so
-        # distance-from-dst doubles as distance-to-dst.
-        reach, _ = network._sssp(dst.uid)
+        components = network.components()
+        if components[src.uid] != components[dst.uid]:
+            return None  # no exit can lead to dst
+        tiebreak = ("hp-ecmp", flow_id)
         path_uids = [src.uid]
         current = src
         visited_asns = {src.asn}
         for _hop_budget in range(len(routers)):
             if current.asn == dst.asn:
                 break
-            dist, preds = self._intra_as_paths(network, current)
+            start = (current.uid,)
+            dist, preds = network.shortest_paths(start, self._hop)
             candidates = []
-            for border_uid, border_cost in dist.items():
-                for v, _w, _link in network._adj[border_uid]:
-                    neighbor = routers[v]
-                    if neighbor.asn == current.asn or not neighbor.asn:
-                        continue
-                    if (
-                        neighbor.asn in visited_asns
-                        and neighbor.asn != dst.asn
-                    ):
-                        continue
-                    if self.as_graph is not None and self.as_graph.rel_of(
-                        current.asn, neighbor.asn
-                    ) is None:
-                        continue
-                    if not self._advertises(
-                        neighbor.asn, current.asn, dst.asn
-                    ):
-                        continue
-                    if v not in reach:
-                        continue
-                    tiebreak = _stable_hash(
-                        "hot-potato", flow_id, border_uid, v
-                    )
-                    candidates.append((border_cost, tiebreak, border_uid, v))
+            for state in dist:
+                if len(state) == 1:
+                    continue
+                v, border_uid = state
+                asn = routers[v].asn
+                if asn in visited_asns and asn != dst.asn:
+                    continue
+                if self.as_graph is not None and self.as_graph.rel_of(
+                    current.asn, asn
+                ) is None:
+                    continue
+                if not self._advertises(asn, current.asn, dst.asn):
+                    continue
+                tb = _stable_hash("hot-potato", flow_id, border_uid, v)
+                candidates.append((dist[(border_uid,)], tb, border_uid, v))
             if not candidates:
                 return None
             _cost, _tb, border_uid, exit_uid = min(candidates)
-            segment = self._walk_back(
-                network, preds, current.uid, border_uid, flow_id
-            )
-            path_uids.extend(segment[1:])
+            segment = walk_back(preds, start, (border_uid,), tiebreak)
+            path_uids.extend(uid for uid, in segment[1:])
             path_uids.append(exit_uid)
             current = routers[exit_uid]
             visited_asns.add(current.asn)
         else:
             return None
         # Final intra-AS segment inside the destination AS.
-        dist, preds = self._intra_as_paths(network, current)
-        if dst.uid not in dist:
+        start = (current.uid,)
+        dist, preds = network.shortest_paths(start, self._hop)
+        if (dst.uid,) not in dist:
             return None
-        segment = self._walk_back(network, preds, current.uid, dst.uid, flow_id)
-        path_uids.extend(segment[1:])
+        segment = walk_back(preds, start, (dst.uid,), tiebreak)
+        path_uids.extend(uid for uid, in segment[1:])
         return [routers[uid] for uid in path_uids]

@@ -21,8 +21,8 @@ from typing import Optional
 
 from repro.alias.resolve import AliasSets
 from repro.measure.traceroute import TraceResult
+from repro.net.addresses import normalize_address, p2p_peer_str
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address, p2p_peer_str
 from repro.rdns.regexes import HostnameParser
 
 CoRef = "tuple[str, str]"  # (region, co_tag)

@@ -20,10 +20,9 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from repro.net.addresses import parse_ip
+from repro.net.addresses import normalize_address, parse_ip
 from repro.net.network import Network
 from repro.net.router import Interface, ReplyPolicy, Router, _extend_hash, _hash_prefix, _stable_hash
-from repro.perf.cache import normalize_address
 
 #: ``Hop`` construction without the named tuple's Python-level
 #: ``__new__``, for the tracer's per-hop loop.

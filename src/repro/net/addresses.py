@@ -16,6 +16,7 @@ methodology depends on:
 from __future__ import annotations
 
 import ipaddress
+import re
 from typing import Iterator, Union
 
 from repro.errors import AddressError
@@ -67,6 +68,86 @@ def p2p_peer(addr: "str | IPAddress", prefixlen: int = 30) -> IPAddress:
             f"{address} is the network or broadcast address of its /30"
         )
     raise AddressError(f"not a point-to-point prefix length: /{prefixlen}")
+
+
+# ----------------------------------------------------------------------
+# Memoised string forms for the probe and inference hot paths
+# ----------------------------------------------------------------------
+_MISS = object()
+
+_normalize_memo: "dict[str, str]" = {}
+_p2p_memo: "dict[tuple[str, int], str | None]" = {}
+
+#: Canonical IPv4 dotted quad: four 0–255 octets, no leading zeros.
+#: Strings matching this are already in ``str(parse_ip(s))`` form and
+#: carry their octets in the groups, so the memo-miss paths below can
+#: skip ``ipaddress`` parsing entirely.  Anything else (IPv6,
+#: non-canonical quads, garbage) falls through to the slow path.
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+_DOTTED_QUAD = re.compile(rf"^{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}$")
+
+
+def normalize_address(value) -> str:
+    """``str(parse_ip(value))`` with a process-wide memo for strings.
+
+    Address normalization is a pure function of the input string, yet
+    it was the single hottest call in the pipeline (one ``ipaddress``
+    parse per hop per trace).  Non-string inputs (already-parsed
+    address objects) skip the memo.
+    """
+    if not isinstance(value, str):
+        return str(parse_ip(value))
+    cached = _normalize_memo.get(value)
+    if cached is None:
+        if _DOTTED_QUAD.match(value):
+            cached = value  # already canonical
+        else:
+            cached = str(parse_ip(value))
+        _normalize_memo[value] = cached
+    return cached
+
+
+def p2p_peer_str(address: str, prefixlen: int = 30) -> "str | None":
+    """The point-to-point peer of *address* as a string, or None.
+
+    Wraps :func:`p2p_peer`, converting the ``AddressError`` raised for
+    network/broadcast addresses into None — every caller in the
+    inference path catches-and-skips, so the memo can store the failure
+    too.
+    """
+    key = (address, prefixlen)
+    cached = _p2p_memo.get(key, _MISS)
+    if cached is _MISS:
+        match = _DOTTED_QUAD.match(address) if prefixlen in (30, 31) else None
+        if match is not None:
+            last = int(match.group(4))
+            if prefixlen == 31:
+                peer_last: "int | None" = last ^ 1
+            else:
+                low2 = last & 0b11
+                # low2 0/3 are the /30's network and broadcast
+                # addresses — no peer, matching the AddressError path.
+                peer_last = (
+                    last + 1 if low2 == 0b01
+                    else last - 1 if low2 == 0b10
+                    else None
+                )
+            cached = (
+                None if peer_last is None else
+                f"{match.group(1)}.{match.group(2)}"
+                f".{match.group(3)}.{peer_last}"
+            )
+        else:
+            cached = _p2p_peer_slow(address, prefixlen)
+        _p2p_memo[key] = cached
+    return cached
+
+
+def _p2p_peer_slow(address: str, prefixlen: int) -> "str | None":
+    try:
+        return str(p2p_peer(address, prefixlen))
+    except AddressError:
+        return None
 
 
 def usable_p2p_addresses(network: "str | IPNetwork") -> "tuple[IPAddress, IPAddress]":

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.net.addresses import IPAddress
-from repro.perf.cache import normalize_address
+from repro.net.addresses import IPAddress, normalize_address
 
 
 class RdnsStore:

@@ -7,7 +7,10 @@ a few vantage points to many thousands of targets stay fast), supports
 equal-cost multipath with per-flow deterministic tie-breaking
 (paris-traceroute keeps the flow fixed, so a flow sees a stable path),
 applies MPLS visibility rules, and answers probes according to each
-router's reply policy.
+router's reply policy.  The same equal-cost search
+(:meth:`Network.shortest_paths`) and walk-back (:func:`walk_back`) serve
+the policy route models of :mod:`repro.bias.routemodel`, over their own
+states and edge rules.
 
 Ground truth lives in router/CO annotations; the measurement API
 deliberately exposes only what a real prober could see: reply
@@ -21,7 +24,7 @@ import ipaddress
 from typing import Iterable, Optional
 
 from repro.errors import RoutingError, TopologyError
-from repro.net.addresses import IPAddress, parse_ip
+from repro.net.addresses import IPAddress, normalize_address, parse_ip
 from repro.net.dns import RdnsStore
 from repro.net.link import PER_HOP_PROCESSING_MS, Link
 from repro.net.mpls import MplsDomain
@@ -29,7 +32,6 @@ from repro.net.router import Interface, Router, _extend_hash, _hash_prefix
 # Re-exported: tooling that wraps the probe-path hash rebinds it in
 # every repro module that imports it by name, this one included.
 from repro.net.router import _stable_hash  # noqa: F401
-from repro.perf.cache import normalize_address
 
 
 class Network:
@@ -45,9 +47,7 @@ class Network:
         #: Pluggable routing policy (None ⇒ delay-weighted SPF).  A
         #: route model exposes ``forwarding_path(network, src, dst,
         #: flow_id)`` and may return None for flows it declines to
-        #: route, which fall back to the default SPF.  Models are
-        #: attached *after* the topology is built (they may keep their
-        #: own per-source caches keyed on the link count).
+        #: route, which fall back to the default SPF.
         self.route_model = None
         self._addr_owner: dict[str, Interface] = {}
         # Longest-prefix "attraction" routes: traffic to any address in
@@ -63,11 +63,16 @@ class Network:
         # delay plus per-hop processing); the first link between two
         # routers wins, as in an adjacency scan.
         self._hops: dict[tuple[str, str], tuple[Interface, float]] = {}
-        self._sssp_cache: dict[str, tuple[dict[str, float], dict[str, list[str]]]] = {}
+        # Derived routing state, all dropped by _changed().  Shortest-path
+        # trees: an SPF tree under its source uid, a route model's tree
+        # under (edge rule, start state).
+        self._sssp_cache: dict[object, tuple[dict, dict]] = {}
         # src uid -> (flow text, {dst uid: SPF path}): the walks of one
         # source's current flow.  A paris flow key is constant per
         # vantage point, so a campaign walks each path once.
         self._walks: dict[str, tuple[str, dict[str, list[Router]]]] = {}
+        # uid -> connected-component label (see components()).
+        self._components: Optional[dict[str, str]] = None
         #: Mutation counter: bumps whenever a router, interface, link
         #: or prefix route is added, so layers that memoise probe facts
         #: (the tracer's plan cache) know when to drop them.
@@ -81,7 +86,7 @@ class Network:
         if router.uid in self.routers:
             raise TopologyError(f"duplicate router uid {router.uid!r}")
         self.routers[router.uid] = router
-        self.version += 1
+        self._changed()
         self._adj.setdefault(router.uid, [])
         for iface in router.interfaces:
             self._register_interface(iface)
@@ -97,7 +102,7 @@ class Network:
         """Add an interface to an already-registered router."""
         iface = router.add_interface(address, prefixlen, name=name)
         self._register_interface(iface)
-        self.version += 1
+        self._changed()
         return iface
 
     def connect(
@@ -125,9 +130,7 @@ class Network:
         for prev, cur in ((router_a, router_b), (router_b, router_a)):
             inbound = link.a if link.a.router is cur else link.b
             self._hops.setdefault((prev.uid, cur.uid), (inbound, hop_ms))
-        self._sssp_cache.clear()
-        self._walks.clear()
-        self.version += 1
+        self._changed()
         return link
 
     def add_prefix_route(self, prefix: "str | ipaddress.IPv4Network | ipaddress.IPv6Network", router: Router) -> None:
@@ -138,7 +141,20 @@ class Network:
         if all(plen != net.prefixlen for plen, _mask in masks):
             masks.append((net.prefixlen, int(net.netmask)))
             masks.sort(reverse=True)
+        self._changed()
+
+    def _changed(self) -> None:
+        """Record a mutation: bump :attr:`version`, drop derived routes.
+
+        Every shortest-path tree (SPF or a route model's), every SPF
+        walk and the component labels are functions of the topology
+        (and of the ASN labels route models settle per version), so
+        one rule keeps them all current.
+        """
         self.version += 1
+        self._sssp_cache.clear()
+        self._walks.clear()
+        self._components = None
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -201,31 +217,81 @@ class Network:
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
-    def _sssp(self, src_uid: str) -> "tuple[dict[str, float], dict[str, list[str]]]":
-        """Single-source shortest paths keeping *all* equal-cost predecessors."""
-        cached = self._sssp_cache.get(src_uid)
+    def shortest_paths(self, start, rule=None) -> "tuple[dict, dict]":
+        """Equal-cost shortest paths from *start*: ``(dist, preds)``.
+
+        Without a *rule* the states are router uids and every link is a
+        step: delay-weighted SPF.  With one, a state is a tuple whose
+        first item is the uid of the router it sits at (a route model's
+        ``(uid, phase)``), and ``rule(state, here, there)`` names the
+        state reached by crossing a link from *state* at router *here*
+        to router *there*, or None where the rule forbids the step.
+        Every equal-cost predecessor is kept, for :func:`walk_back`.
+        Trees are cached until the next mutation, per start for SPF and
+        per ``(rule, start)`` otherwise, so a rule must be a stable
+        object (a function or bound method).
+        """
+        key = start if rule is None else (rule, start)
+        cached = self._sssp_cache.get(key)
         if cached is not None:
             return cached
-        dist: dict[str, float] = {src_uid: 0.0}
-        preds: dict[str, list[str]] = {src_uid: []}
-        heap = [(0.0, src_uid)]
+        routers = self.routers
+        dist: dict = {start: 0.0}
+        preds: dict = {start: []}
+        heap = [(0.0, start)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
+            if d > dist[u]:
                 continue
-            for v, w, _link in self._adj[u]:
+            if rule is None:
+                here = u
+            else:
+                here = u[0]
+                at = routers[here]
+            for v, w, _link in self._adj[here]:
+                if rule is None:
+                    state = v
+                else:
+                    state = rule(u, at, routers[v])
+                    if state is None:
+                        continue
                 nd = d + w
-                old = dist.get(v, float("inf"))
+                old = dist.get(state, float("inf"))
                 if nd < old - 1e-12:
-                    dist[v] = nd
-                    preds[v] = [u]
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - old) <= 1e-12 and u not in preds[v] and w > 0:
+                    dist[state] = nd
+                    preds[state] = [u]
+                    heapq.heappush(heap, (nd, state))
+                elif abs(nd - old) <= 1e-12 and u not in preds[state] and w > 0:
                     # Zero-weight ties would make u and v each other's
                     # predecessors and trap the path walk in a cycle.
-                    preds[v].append(u)
-        self._sssp_cache[src_uid] = (dist, preds)
+                    preds[state].append(u)
+        self._sssp_cache[key] = (dist, preds)
         return dist, preds
+
+    def _sssp(self, src_uid: str) -> "tuple[dict[str, float], dict[str, list[str]]]":
+        """The delay-weighted SPF tree of *src_uid*."""
+        return self.shortest_paths(src_uid)
+
+    def components(self) -> "dict[str, str]":
+        """Router uid → connected-component label, once per version.
+
+        Two routers share a label exactly when some path joins them,
+        whatever the weights; links are symmetric.
+        """
+        if self._components is None:
+            labels: dict[str, str] = {}
+            for root in self._adj:
+                if root in labels:
+                    continue
+                labels[root] = root
+                stack = [root]
+                while stack:
+                    for v, _w, _link in self._adj[stack.pop()]:
+                        if v not in labels:
+                            labels[v] = root
+                            stack.append(v)
+            self._components = labels
+        return self._components
 
     def forwarding_path(
         self, src: Router, dst: Router, flow_id: object = 0
@@ -262,24 +328,7 @@ class Network:
         dist, preds = self._sssp(src_uid)
         if dst_uid not in dist:
             raise RoutingError(f"no route from {src_uid} to {dst_uid}")
-        path_uids = [dst_uid]
-        node = dst_uid
-        ecmp = None  # hash state for "ecmp|<flow>|", made on first tie
-        while node != src_uid:
-            options = preds[node]
-            if len(options) == 1:
-                node = options[0]
-            else:
-                if ecmp is None:
-                    ecmp = _hash_prefix(f"ecmp|{flow}|")
-                # The choice indexes the sorted options.  Sorting the
-                # cached list in place makes every later walk's sort a
-                # no-op pass instead of a fresh copy.
-                options.sort()
-                node = options[_extend_hash(ecmp, node) % len(options)]
-            path_uids.append(node)
-        path_uids.reverse()
-        return [self.routers[uid] for uid in path_uids]
+        return [self.routers[uid] for uid in walk_back(preds, src_uid, dst_uid, ("ecmp", flow))]
 
     def _hop(self, prev: Router, cur: Router) -> "tuple[Interface, float]":
         """(inbound interface at *cur*, hop delay) for one path step."""
@@ -353,3 +402,32 @@ class Network:
     def all_addresses(self) -> Iterable[str]:
         """Every assigned interface address."""
         return self._addr_owner.keys()
+
+
+def walk_back(preds: dict, src, dst, key: tuple) -> list:
+    """The states of one equal-cost path from *src* to *dst*.
+
+    Walks :meth:`Network.shortest_paths` predecessors back from *dst*.
+    Where a state has several, the choice indexes the sorted options by
+    ``_stable_hash(*key, *state)`` (a uid state is one part), so one
+    flow always takes one path; *key* is the caller's tie-break head,
+    such as ``("ecmp", flow)``.
+    """
+    path = [dst]
+    node = dst
+    head = None  # hash state for the key, made on the first tie
+    while node != src:
+        options = preds[node]
+        if len(options) == 1:
+            node = options[0]
+        else:
+            if head is None:
+                head = _hash_prefix("|".join(map(str, key)) + "|")
+            # Sorting the cached list in place makes every later walk's
+            # sort a no-op pass instead of a fresh copy.
+            options.sort()
+            tail = node if isinstance(node, str) else "|".join(map(str, node))
+            node = options[_extend_hash(head, tail) % len(options)]
+        path.append(node)
+    path.reverse()
+    return path

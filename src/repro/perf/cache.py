@@ -3,13 +3,12 @@
 Profiling the cable pipeline shows three dominant costs, all pure
 recomputation: address-string normalization (``str(parse_ip(s))``),
 point-to-point peer derivation, and PTR-lookup + hostname-regex parsing
-repeated once per IP *pair* instead of once per IP.  Two kinds of memo
-live here:
+repeated once per IP *pair* instead of once per IP.  The first two are
+process-wide memos beside the address helpers they wrap
+(:func:`repro.net.addresses.normalize_address` and
+:func:`~repro.net.addresses.p2p_peer_str`); :func:`clear_module_memos`
+drops them.  This module holds the third:
 
-* **Module-level memos** (:func:`normalize_address`,
-  :func:`p2p_peer_str`) for computations that are pure functions of
-  their string argument — safe to share process-wide and never
-  invalidated.
 * **:class:`InferenceCache`** for facts that are pure only *per epoch*
   of an :class:`~repro.net.dns.RdnsStore`: a combined PTR lookup
   changes when the store mutates or when a different fault injector is
@@ -25,89 +24,13 @@ so one address can answer differently for different events.
 
 from __future__ import annotations
 
-import re
 import statistics
 from dataclasses import dataclass
 
-from repro.errors import AddressError
-from repro.net.addresses import p2p_peer, parse_ip
+from repro.net.addresses import _normalize_memo, _p2p_memo
 from repro.obs.metrics import MetricsRegistry
 
 _MISS = object()
-
-_normalize_memo: "dict[str, str]" = {}
-_p2p_memo: "dict[tuple[str, int], str | None]" = {}
-
-#: Canonical IPv4 dotted quad: four 0–255 octets, no leading zeros.
-#: Strings matching this are already in ``str(parse_ip(s))`` form and
-#: carry their octets in the groups, so the memo-miss paths below can
-#: skip ``ipaddress`` parsing entirely.  Anything else (IPv6,
-#: non-canonical quads, garbage) falls through to the slow path.
-_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
-_DOTTED_QUAD = re.compile(rf"^{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}$")
-
-
-def normalize_address(value) -> str:
-    """``str(parse_ip(value))`` with a process-wide memo for strings.
-
-    Address normalization is a pure function of the input string, yet
-    it was the single hottest call in the pipeline (one ``ipaddress``
-    parse per hop per trace).  Non-string inputs (already-parsed
-    address objects) skip the memo.
-    """
-    if not isinstance(value, str):
-        return str(parse_ip(value))
-    cached = _normalize_memo.get(value)
-    if cached is None:
-        if _DOTTED_QUAD.match(value):
-            cached = value  # already canonical
-        else:
-            cached = str(parse_ip(value))
-        _normalize_memo[value] = cached
-    return cached
-
-
-def p2p_peer_str(address: str, prefixlen: int = 30) -> "str | None":
-    """The point-to-point peer of *address* as a string, or None.
-
-    Wraps :func:`repro.net.addresses.p2p_peer`, converting the
-    ``AddressError`` raised for network/broadcast addresses into None —
-    every caller in the inference path catches-and-skips, so the memo
-    can store the failure too.
-    """
-    key = (address, prefixlen)
-    cached = _p2p_memo.get(key, _MISS)
-    if cached is _MISS:
-        match = _DOTTED_QUAD.match(address) if prefixlen in (30, 31) else None
-        if match is not None:
-            last = int(match.group(4))
-            if prefixlen == 31:
-                peer_last: "int | None" = last ^ 1
-            else:
-                low2 = last & 0b11
-                # low2 0/3 are the /30's network and broadcast
-                # addresses — no peer, matching the AddressError path.
-                peer_last = (
-                    last + 1 if low2 == 0b01
-                    else last - 1 if low2 == 0b10
-                    else None
-                )
-            cached = (
-                None if peer_last is None else
-                f"{match.group(1)}.{match.group(2)}"
-                f".{match.group(3)}.{peer_last}"
-            )
-        else:
-            cached = _p2p_peer_slow(address, prefixlen)
-        _p2p_memo[key] = cached
-    return cached
-
-
-def _p2p_peer_slow(address: str, prefixlen: int) -> "str | None":
-    try:
-        return str(p2p_peer(address, prefixlen))
-    except AddressError:
-        return None
 
 
 def clear_module_memos() -> None:

@@ -39,8 +39,6 @@ class SyntheticPlan:
     trace_chains: "list[list[str]]" = field(default_factory=list)
     followup_chains: "list[list[str]]" = field(default_factory=list)
     aliases: AliasSets = field(default_factory=lambda: AliasSets([]))
-    co_count: int = 0
-    link_pairs: int = 0
 
 
 #: Endpoints of every chain: one source, and a placeholder destination
@@ -68,7 +66,6 @@ def build_synthetic_region_plan(
     rng = random.Random(seed)
     corpus = SyntheticPlan(isp="comcast", rdns=RdnsStore())
     rdns = corpus.rdns
-    corpus.co_count = regions * cos_per_region
 
     def region_name(r: int) -> str:
         return f"region{r:02d}"
@@ -113,7 +110,6 @@ def build_synthetic_region_plan(
                     "mid": f"10.{r}.{e}.{240 + li}",
                     "tunnel": rng.random() < tunnel_share,
                 })
-    corpus.link_pairs = sum(len(link["pairs"]) for link in links)
 
     # Backbone PoPs: traces may enter the region through one of these.
     backbone_ips = []

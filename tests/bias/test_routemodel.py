@@ -1,12 +1,25 @@
-"""Policy route models: valley-freeness, determinism, fallbacks, and
-supervised-worker parity."""
+"""Policy route models: valley-freeness, determinism, fallbacks,
+supervised-worker parity, a pinned hot-potato campaign, and equality with
+the frozen per-model engines of ``routemodel_oracle``."""
+
+import hashlib
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.bias.routemodel import build_as_graph, build_route_model
+import routemodel_oracle as oracle
+from network_scenarios import PREFIXES, build, scenarios
+from repro.bias.routemodel import (
+    HotPotatoRouteModel,
+    ValleyFreeRouteModel,
+    build_as_graph,
+    build_route_model,
+)
 from repro.errors import TopologyError
 from repro.io.export import region_to_json
 from repro.measure.substrates import cable_campaign
+from repro.net.router import Router
+from repro.topology.asrel import AsGraph
 from region_pipeline import REGION, RegionPipeline
 
 
@@ -71,26 +84,27 @@ class TestBuilders:
 _SUPERVISOR_HEALTH = ("shards_planned", "workers_spawned")
 
 
+def _comcast_campaign(route_model, workers=0):
+    """The bias fixture's substrate (seed 11, cable only), built fresh by
+    the recipe so the serial fleet is the one workers build, probing
+    :data:`REGION` from two VPs."""
+    internet, fleet, worker_spec = cable_campaign(
+        seed=11, route_model=route_model
+    )
+    assert internet.network.route_model.name == route_model
+    return RegionPipeline(
+        internet.network, internet.comcast, fleet, sweep_vps=2,
+        workers=workers, worker_spec=worker_spec,
+    ).run()
+
+
 class TestSupervisedParity:
-    def test_valley_free_workers_match_serial(self):
+    @pytest.mark.parametrize("route_model", ["valley-free", "hot-potato"])
+    def test_workers_match_serial(self, route_model):
         """A route model is part of the substrate recipe, so supervised
-        workers probe under it too: the regions are byte-identical.
-
-        The substrate is the bias fixture's (seed 11, cable only), built
-        fresh by the recipe so the serial fleet is the one workers build.
-        """
-        internet, fleet, worker_spec = cable_campaign(
-            seed=11, route_model="valley-free"
-        )
-        assert internet.network.route_model.name == "valley-free"
-
-        def run(workers):
-            return RegionPipeline(
-                internet.network, internet.comcast, fleet, sweep_vps=2,
-                workers=workers, worker_spec=worker_spec,
-            ).run()
-
-        serial, supervised = run(0), run(2)
+        workers probe under it too: the regions are byte-identical."""
+        serial = _comcast_campaign(route_model)
+        supervised = _comcast_campaign(route_model, workers=2)
         assert REGION in serial.regions
         assert set(supervised.regions) == set(serial.regions)
         for name in sorted(serial.regions):
@@ -169,3 +183,112 @@ class TestHotPotato:
         second = hp_model.forwarding_path(network, src, dst, flow_id=2)
         assert first is not None
         assert [r.uid for r in first] == [r.uid for r in second]
+
+    def test_campaign_regions_are_pinned(self):
+        """The region artifacts of a small hot-potato campaign, pinned as
+        the per-flow intra-AS engine produced them."""
+        result = _comcast_campaign("hot-potato")
+        digest = hashlib.sha256()
+        for name in sorted(result.regions):
+            digest.update(region_to_json(result.regions[name]).encode())
+        assert sorted(result.regions) == [
+            "albuquerque", "connecticut", "memphis", "saltlake", "sanfrancisco",
+        ]
+        assert digest.hexdigest() == (
+            "c60c7f390ab890391608a0659dad1eaacceaa55c68db819cc28e21ff21a08c8d"
+        )
+
+
+# ----------------------------------------------------------------------
+# The shared engine against the frozen per-model engines
+# ----------------------------------------------------------------------
+def _graph():
+    graph = AsGraph()
+    graph.add_relationship(1, 2, "p2c")
+    graph.add_relationship(1, 3, "p2c")
+    graph.add_relationship(2, 3, "p2p")
+    return graph
+
+
+#: Substrate changes after which every path is compared again.
+MUTATIONS = ("connect", "add_router", "add_interface", "add_prefix_route", "attach_vp")
+
+
+def _mutate(net, kind, pick, serial):
+    routers = sorted(net.routers.values(), key=lambda r: r.uid)
+    first, second = routers[pick % len(routers)], routers[(pick // 7 + 1) % len(routers)]
+    if kind == "connect" and first is not second:
+        net.connect(first, second, f"10.7.{serial}.1", f"10.7.{serial}.2", length_km=(1.0, 10.0)[pick % 2])
+    elif kind == "add_router":
+        # ASN 0 routers are labelled from a neighbour once connected.
+        net.add_router(Router(f"n{serial}", asn=pick % 4))
+    elif kind == "add_interface":
+        net.add_interface(first, f"10.8.{serial}.1", 24)
+    elif kind == "add_prefix_route":
+        net.add_prefix_route(PREFIXES[pick % len(PREFIXES)], first)
+    elif kind == "attach_vp":
+        # As attach_host does, under a uid both copies share.
+        host = net.add_router(Router(f"vp{serial}"))
+        net.connect(first, host, f"10.6.{serial}.1", f"10.6.{serial}.2", length_km=2.0)
+
+
+def _paths(model, net, flows):
+    """Every (src, dst, flow) path of *model*, as uid lists or None."""
+    routers = sorted(net.routers.values(), key=lambda r: r.uid)
+    found = {}
+    for src in routers:
+        for dst in routers:
+            for flow in flows:
+                path = model.forwarding_path(net, src, dst, flow)
+                found[src.uid, dst.uid, flow] = None if path is None else [r.uid for r in path]
+    return found
+
+
+@given(
+    spec=scenarios(),
+    mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10_000)), max_size=4),
+)
+def test_models_match_the_oracles_after_every_mutation(spec, mutations):
+    """Each model and its oracle probe their own copy of one network, so
+    neither sees ASN labels the other settled."""
+    graph = _graph()
+    pairs = [
+        (ValleyFreeRouteModel(graph), oracle.ValleyFreeRouteModel(graph)),
+        (HotPotatoRouteModel(graph), oracle.HotPotatoRouteModel(graph)),
+        (HotPotatoRouteModel(), oracle.HotPotatoRouteModel()),
+    ]
+    nets = [(build(spec)[0], build(spec)[0]) for _pair in pairs]
+    flows = spec["flows"]
+    for serial, (kind, pick) in enumerate([(None, 0)] + mutations):
+        for (model, reference), (net, reference_net) in zip(pairs, nets):
+            if kind is not None:
+                _mutate(net, kind, pick, serial)
+                _mutate(reference_net, kind, pick, serial)
+            assert _paths(model, net, flows) == _paths(reference, reference_net, flows), (model.name, kind)
+
+
+@pytest.mark.parametrize("asns", [
+    # Valley-free: both b routers are one AS, so (dst, down) has two
+    # equal-cost predecessors; hot-potato: two equal exits out of a.
+    {"src": 1, "a": 1, "b1": 2, "b2": 2, "dst": 2},
+    # One AS behind src: hot-potato's tree from a ties at dst.
+    {"src": 1, "a": 2, "b1": 2, "b2": 2, "dst": 2},
+])
+def test_equal_cost_choices_match_the_oracles_per_flow(toy_network, asns):
+    net, routers = toy_network
+    for uid, asn in asns.items():
+        routers[uid].asn = asn
+    graph = _graph()
+    for model, reference in (
+        (ValleyFreeRouteModel(graph), oracle.ValleyFreeRouteModel(graph)),
+        (HotPotatoRouteModel(graph), oracle.HotPotatoRouteModel(graph)),
+    ):
+        paths = [
+            [r.uid for r in model.forwarding_path(net, routers["src"], routers["dst"], flow)]
+            for flow in range(32)
+        ]
+        assert paths == [
+            [r.uid for r in reference.forwarding_path(net, routers["src"], routers["dst"], flow)]
+            for flow in range(32)
+        ], model.name
+        assert {path[2] for path in paths} == {"b1", "b2"}, model.name

@@ -2,13 +2,18 @@
 and fault-injector swaps, and agreement with the unmemoized address
 functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AddressError
 from repro.faults import FaultInjector, FaultPlan
-from repro.net.addresses import p2p_peer, parse_ip
+from repro.net.addresses import normalize_address, p2p_peer, p2p_peer_str, parse_ip
 from repro.net.dns import RdnsStore
-from repro.perf import InferenceCache, normalize_address, p2p_peer_str
+from repro.perf import InferenceCache
 from repro.rdns.regexes import HostnameParser
 
 NAME = "ae-1-ar01.aggco.co.denver.comcast.net"
@@ -110,3 +115,16 @@ class TestDerivedAnswers:
         expected = statistics.fmean(degrees) + statistics.pstdev(degrees)
         assert cache.degree_threshold(degrees) == expected
         assert cache.degree_threshold(degrees) == expected
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.mark.parametrize("module", ["repro.perf", "repro.perf.cache", "repro.perf.synthetic"])
+def test_perf_modules_import_first(module):
+    """Each perf module imports in a fresh interpreter as its first
+    ``repro`` import: nothing under ``repro.net`` imports back into
+    ``repro.perf``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

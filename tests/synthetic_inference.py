@@ -1,6 +1,5 @@
 """Two synthetic region campaigns with pinned phase-2 digests."""
 
-import repro.net  # noqa: F401  (repro.perf resolves its import cycle only after repro.net)
 from repro.bias.incremental import region_digest
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
