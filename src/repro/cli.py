@@ -580,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the fault plan (default 0)")
     map_cable.add_argument(
         "--checkpoint", metavar="PATH",
-        help="write campaign checkpoints to PATH")
+        help="log campaign progress to PATH, appending what is new "
+             "at every save (replaces any file already there)")
     map_cable.add_argument(
         "--resume", metavar="PATH",
         help="resume a campaign from the checkpoint at PATH")
@@ -636,9 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     map_cable.add_argument(
         "--corpus-format", choices=("json", "binary"), default="json",
         help="corpus representation: json keeps the object-graph "
-             "inference path and inline checkpoint traces; binary runs "
-             "the vectorized columnar path with .npz checkpoint "
-             "sidecars (digest-identical output; default json)")
+             "inference path; binary runs the vectorized columnar path "
+             "(digest-identical output; default json)")
     map_cable.add_argument(
         "--route-model", choices=("spf", "valley-free", "hot-potato"),
         default="spf",

@@ -170,13 +170,13 @@ class CableInferencePipeline:
         #: — recording is cheap and never alters inference output; the
         #: CLI decides whether to export them.  Span ids derive from
         #: ``trace_seed``, so equal-seed runs are diffable span-by-span.
-        #: Corpus representation for phase 2 and checkpointing: "json"
-        #: keeps the historical object-graph path (checkpoint traces
-        #: inline); "binary" lifts the collected traces into a columnar
-        #: :class:`~repro.corpus.columnar.TraceCorpus`, runs the
-        #: vectorized ip2co/adjacency paths, and stores checkpoint
-        #: stage traces in ``.npz`` sidecars.  Output is digest-
+        #: Corpus representation for phase 2: "json" keeps the
+        #: historical object-graph path; "binary" lifts the collected
+        #: traces into a columnar
+        #: :class:`~repro.corpus.columnar.TraceCorpus` and runs the
+        #: vectorized ip2co/adjacency paths.  Output is digest-
         #: identical either way: both paths feed the same stage core.
+        #: Checkpoints do not depend on it.
         if corpus_format not in ("json", "binary"):
             raise MeasurementError(
                 f"unknown corpus format {corpus_format!r} "
@@ -271,9 +271,7 @@ class CableInferencePipeline:
                 return runner_cls.resumed(
                     self.tracer, self.vps, checkpoint, **options
                 )
-            checkpoint = CampaignCheckpoint(
-                self.checkpoint_path, corpus_format=self.corpus_format
-            )
+            checkpoint = CampaignCheckpoint(self.checkpoint_path)
         return runner_cls(
             self.tracer, self.vps, checkpoint=checkpoint, **options
         )

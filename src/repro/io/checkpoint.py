@@ -1,4 +1,4 @@
-"""Campaign checkpoints: versioned JSON persistence of partial sweeps.
+"""Campaign checkpoints: an append-only record log of partial sweeps.
 
 A long traceroute campaign that dies at hour five should not restart at
 hour zero.  :class:`CampaignCheckpoint` persists, per campaign stage,
@@ -8,24 +8,40 @@ executed, the campaign health counters, and the fault injector's state
 where the checkpointed one stopped and — because every fault decision
 is keyed on event identity, not call order — converges on the same
 final output as a run that was never interrupted.
+
+The file is one JSON object per line: a header, then one record per
+:meth:`~CampaignCheckpoint.save` holding only what changed since the
+previous save, so each trace is written once, as a
+:func:`~repro.measure.traceroute.trace_to_row` row
+(``docs/robustness.md`` spells out the layout).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 import pathlib
+from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError, SchemaError
-from repro.io.atomic import atomic_write_text
-from repro.measure.traceroute import Hop, TraceResult
-from repro.validate.schema import validate_artifact
+from repro.io.atomic import atomic_write_text, read_log
+from repro.measure.traceroute import Hop, TraceResult, trace_from_row, trace_to_row
+from repro.perf.gcpause import gc_paused
+from repro.validate.schema import (
+    ARTIFACT_VERSIONS,
+    CHECKPOINT_RECORD,
+    check,
+    validate_artifact,
+)
 
-CHECKPOINT_SCHEMA_VERSION = 1
+_HEADER = json.dumps({
+    "kind": "campaign-checkpoint",
+    "schema": ARTIFACT_VERSIONS["campaign-checkpoint"],
+}) + "\n"
 
 
 def trace_to_dict(trace: TraceResult) -> "dict[str, object]":
-    """Serialize one traceroute to a JSON-ready dict."""
+    """Serialize one traceroute to a JSON-ready dict (JSON trace corpora)."""
     return {
         "src": trace.src_address,
         "dst": trace.dst_address,
@@ -52,20 +68,35 @@ def trace_from_dict(payload: "dict[str, object]") -> TraceResult:
         src_address=payload["src"],
         dst_address=payload["dst"],
         hops=[
-            Hop(
-                index=h["i"],
-                address=h["addr"],
-                rdns=h.get("rdns"),
-                rtt_ms=h.get("rtt"),
-                reply_ttl=h.get("rttl"),
-                attempts=h.get("tries", 1),
-            )
+            Hop(h["i"], h["addr"], h.get("rdns"), h.get("rtt"), h.get("rttl"),
+                h.get("tries", 1))
             for h in payload["hops"]
         ],
         completed=payload.get("completed", False),
         flow_id=payload.get("flow_id", 0),
         vp_name=payload.get("vp", ""),
     )
+
+
+def _parse_record(line: bytes):
+    """One whole record: a newline-terminated JSON value."""
+    if not line.endswith(b"\n"):
+        raise ValueError("unterminated record")
+    return json.loads(line)
+
+
+@dataclass
+class _Stage:
+    """One stage's folded progress."""
+
+    traces: "list[TraceResult]" = field(default_factory=list)
+    done: "list[tuple[str, str]]" = field(default_factory=list)
+    complete: bool = False
+    #: ``(traces, done, complete)`` as far as the file holds them.
+    saved: tuple = (0, 0, False)
+
+    def state(self) -> tuple:
+        return len(self.traces), len(self.done), self.complete
 
 
 class CampaignCheckpoint:
@@ -75,131 +106,126 @@ class CampaignCheckpoint:
     ``rdns``, ``followup``); a stage is either *complete* (its traces
     load wholesale on resume) or partial (its done-set is skipped and
     the remaining jobs re-run).
+
+    In memory the checkpoint holds every stage's traces and done keys,
+    and the shards parked by the run it was loaded from.  Shards this
+    run records are only queued for the next save: the supervisor has
+    already consumed them, and keeping them would hold a second copy
+    of the stage.
     """
 
-    def __init__(self, path: "str | pathlib.Path",
-                 corpus_format: str = "json") -> None:
-        if corpus_format not in ("json", "binary"):
-            raise CheckpointError(
-                f"unknown corpus format {corpus_format!r} "
-                "(expected 'json' or 'binary')"
-            )
+    def __init__(self, path: "str | pathlib.Path") -> None:
         self.path = pathlib.Path(path)
-        #: "json" inlines stage traces in the checkpoint document;
-        #: "binary" stores them in a columnar ``.npz`` sidecar per
-        #: stage, with the stage record carrying file + sha256.
-        self.corpus_format = corpus_format
-        self._stages: "dict[str, dict]" = {}
-        self._health: "dict[str, object]" = {}
-        self._injector: "dict[str, object]" = {}
-        #: Per-stage raw shard payloads from the supervised executor:
-        #: ``{stage: {shard_id: payload}}``.  Cleared when the stage
-        #: completes (its traces become canonical).
-        self._shards: "dict[str, dict[str, dict]]" = {}
-        #: Stage traces recorded but not yet flushed to their binary
-        #: sidecar (written by :meth:`save`).
-        self._pending_corpora: "dict[str, list[TraceResult]]" = {}
+        self._stages: "dict[str, _Stage]" = {}
+        #: The campaign's health counters and fault-injector state, as
+        #: of the last record.
+        self.health: "dict[str, object]" = {}
+        self.injector_state: "dict[str, object]" = {}
+        #: Per stage, the checked record lines that parked its shards;
+        #: dropped when it completes.  Kept as text until asked for: a
+        #: stage's parked rows parse to several times their size.
+        self._shards: "dict[str, list[bytes]]" = {}
+        #: Shard payloads recorded since the last save.
+        self._new_shards: "dict[str, dict[str, dict]]" = {}
+        #: Byte length of the file's valid prefix; None until this
+        #: object has loaded or written the file.
+        self._size: "int | None" = None
 
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: "str | pathlib.Path") -> "CampaignCheckpoint":
-        """Read a checkpoint file, validating schema and kind."""
+        """Read a checkpoint file, validating the header and every record."""
         checkpoint = cls(path)
         try:
-            payload = json.loads(checkpoint.path.read_text())
+            with open(checkpoint.path, "rb") as handle:
+                head = handle.readline()
+                body = handle.read()
         except FileNotFoundError as exc:
             raise CheckpointError(f"no checkpoint at {checkpoint.path}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise CheckpointError(
                 f"unreadable checkpoint {checkpoint.path}: {exc}"
             ) from exc
+        # The header is written together with the first record, by an
+        # atomic replace, so it is never torn.
         try:
-            validate_artifact(payload, kind="campaign-checkpoint")
-        except SchemaError as exc:
+            validate_artifact(json.loads(head), kind="campaign-checkpoint")
+            if not head.endswith(b"\n"):
+                raise ValueError("unterminated header")
+        except (ValueError, SchemaError) as exc:
+            raise CheckpointError(
+                f"corrupt checkpoint {checkpoint.path} header: {exc}"
+            ) from exc
+        valid = 0
+        try:
+            # Folding builds the stored corpus: pause the collector, as a
+            # campaign stage does while it builds one.
+            with gc_paused():
+                records = read_log(body, _parse_record, what="record")
+                for number, (end, record) in enumerate(records, start=1):
+                    check(record, CHECKPOINT_RECORD, f"record {number}: $")
+                    checkpoint._fold(record, body[valid:end])
+                    valid = end
+        except (ValueError, SchemaError) as exc:
             raise CheckpointError(
                 f"corrupt checkpoint {checkpoint.path}: {exc}"
             ) from exc
-        checkpoint._stages = payload.get("stages", {})
-        checkpoint._health = payload.get("health", {})
-        checkpoint._injector = payload.get("injector", {})
-        checkpoint._shards = payload.get("shards", {})
-        if any(record.get("corpus") for record in checkpoint._stages.values()):
-            # A checkpoint written with binary sidecars keeps that
-            # format across resume cycles.
-            checkpoint.corpus_format = "binary"
+        checkpoint._size = len(head) + valid
         return checkpoint
 
+    def _fold(self, record: dict, line: bytes) -> None:
+        for name in record["shards"]:
+            self._shards.setdefault(name, []).append(line)
+        for name, delta in record["stages"].items():
+            stage = self._stages.setdefault(name, _Stage())
+            stage.traces.extend(map(trace_from_row, delta["traces"]))
+            stage.done.extend(map(tuple, delta["done"]))
+            stage.complete = delta["complete"]
+            stage.saved = stage.state()
+            if stage.complete:
+                self._shards.pop(name, None)
+        self.health = record["health"]
+        self.injector_state = record["injector"]
+
     def save(self) -> None:
-        """Atomically write the checkpoint (write-then-rename).
+        """Append one fsynced record of what changed since the last save.
 
-        Binary-format stages flush their trace corpus to an ``.npz``
-        sidecar first, so the JSON document (written last) only ever
-        points at a sidecar that is already fully on disk.
+        The first save of a checkpoint that was not loaded from disk
+        replaces any file at its path with the header and that record.
         """
-        for name, traces in self._pending_corpora.items():
-            self._stages[name]["corpus"] = self._write_sidecar(name, traces)
-        self._pending_corpora.clear()
-        payload = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "kind": "campaign-checkpoint",
-            "stages": self._stages,
-            "health": self._health,
-            "injector": self._injector,
-            "shards": self._shards,
+        stages = {
+            name: {
+                "traces": [trace_to_row(t) for t in stage.traces[stage.saved[0]:]],
+                "done": stage.done[stage.saved[1]:],
+                "complete": stage.complete,
+            }
+            for name, stage in self._stages.items()
+            if stage.state() != stage.saved
         }
-        atomic_write_text(self.path, json.dumps(payload, sort_keys=True))
-
-    # ------------------------------------------------------------------
-    # Binary corpus sidecars
-    # ------------------------------------------------------------------
-    def _sidecar_path(self, stage: str) -> pathlib.Path:
-        return self.path.with_name(f"{self.path.stem}.{stage}.corpus.npz")
-
-    def _write_sidecar(self, stage: str,
-                       traces: "list[TraceResult]") -> "dict[str, str]":
-        from repro.corpus import TraceCorpus, save_corpus
-
-        sidecar = self._sidecar_path(stage)
-        save_corpus(sidecar, TraceCorpus.from_traces(traces))
-        return {
-            "format": "binary",
-            "file": sidecar.name,
-            "sha256": hashlib.sha256(sidecar.read_bytes()).hexdigest(),
+        record = {
+            "stages": stages,
+            "shards": self._new_shards,
+            "health": self.health,
+            "injector": self.injector_state,
         }
-
-    def _load_sidecar(self, stage: str, pointer: "dict[str, str]"
-                      ) -> "list[TraceResult]":
-        from repro.corpus import load_corpus
-
-        if pointer.get("format") != "binary":
-            raise CheckpointError(
-                f"stage {stage!r}: unknown corpus format "
-                f"{pointer.get('format')!r}"
-            )
-        sidecar = self.path.with_name(pointer["file"])
-        try:
-            digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
-        except OSError as exc:
-            raise CheckpointError(
-                f"stage {stage!r}: missing corpus sidecar {sidecar}: {exc}"
-            ) from exc
-        if digest != pointer["sha256"]:
-            raise CheckpointError(
-                f"stage {stage!r}: corpus sidecar {sidecar} digest "
-                f"mismatch (expected {pointer['sha256']}, got {digest})"
-            )
-        try:
-            return load_corpus(sidecar).to_traces()
-        except SchemaError as exc:
-            raise CheckpointError(
-                f"stage {stage!r}: corrupt corpus sidecar {sidecar}: {exc}"
-            ) from exc
+        # ASCII-only (json.dumps escapes the rest): one char, one byte.
+        line = json.dumps(record, separators=(",", ":"), check_circular=False) + "\n"
+        if self._size is None:
+            atomic_write_text(self.path, _HEADER + line)
+            self._size = len(_HEADER)
+        else:
+            with open(self.path, "a") as handle:
+                # Drops the torn record of a save that never finished.
+                handle.truncate(self._size)
+                handle.write(line)
+                handle.flush()
+                os.fsync(handle.fileno())
+        self._size += len(line)
+        for stage in self._stages.values():
+            stage.saved = stage.state()
+        self._new_shards = {}
 
     # ------------------------------------------------------------------
-    def stage(self, name: str) -> "dict | None":
-        """The stored record for stage *name*, if any."""
-        return self._stages.get(name)
-
     def record_stage(
         self,
         name: str,
@@ -207,67 +233,38 @@ class CampaignCheckpoint:
         done: "list[tuple[str, str]]",
         complete: bool,
     ) -> None:
-        """Store (in memory) a stage's progress; call :meth:`save` to persist."""
-        if self.corpus_format == "binary":
-            self._stages[name] = {
-                "complete": complete,
-                "done": [list(pair) for pair in done],
-                "traces": [],
-            }
-            self._pending_corpora[name] = list(traces)
-            return
-        self._stages[name] = {
-            "complete": complete,
-            "done": [list(pair) for pair in done],
-            "traces": [trace_to_dict(t) for t in traces],
-        }
+        """Add a stage's new traces and done job keys for :meth:`save`.
+
+        Completing a stage drops its parked shards: its traces are now
+        canonical.
+        """
+        stage = self._stages.setdefault(name, _Stage())
+        stage.traces.extend(traces)
+        stage.done.extend(done)
+        stage.complete = complete
+        if complete:
+            self._shards.pop(name, None)
 
     def stage_traces(self, name: str) -> "list[TraceResult]":
-        record = self._stages.get(name) or {}
-        if name in self._pending_corpora:
-            return list(self._pending_corpora[name])
-        pointer = record.get("corpus")
-        if pointer:
-            return self._load_sidecar(name, pointer)
-        return [trace_from_dict(t) for t in record.get("traces", [])]
+        return list(self._stages.get(name, _Stage()).traces)
 
     def stage_done(self, name: str) -> "set[tuple[str, str]]":
-        record = self._stages.get(name) or {}
-        return {tuple(pair) for pair in record.get("done", [])}
+        return set(self._stages.get(name, _Stage()).done)
 
     def stage_complete(self, name: str) -> bool:
-        record = self._stages.get(name) or {}
-        return bool(record.get("complete", False))
+        return self._stages.get(name, _Stage()).complete
 
     # ------------------------------------------------------------------
     # Supervised-executor shard results
     # ------------------------------------------------------------------
     def record_shard(self, stage: str, shard_id: str,
                      payload: "dict[str, object]") -> None:
-        """Store (in memory) one completed shard's raw results."""
-        self._shards.setdefault(stage, {})[shard_id] = payload
+        """Queue one completed shard's raw results for the next save."""
+        self._new_shards.setdefault(stage, {})[shard_id] = payload
 
     def shard_results(self, stage: str) -> "dict[str, dict]":
-        """Completed shard payloads for *stage*, keyed by shard id."""
-        return dict(self._shards.get(stage, {}))
-
-    def clear_shards(self, stage: str) -> None:
-        """Drop *stage*'s shard payloads (called once it completes)."""
-        self._shards.pop(stage, None)
-
-    # ------------------------------------------------------------------
-    @property
-    def health(self) -> "dict[str, object]":
-        return self._health
-
-    @health.setter
-    def health(self, payload: "dict[str, object]") -> None:
-        self._health = payload
-
-    @property
-    def injector_state(self) -> "dict[str, object]":
-        return self._injector
-
-    @injector_state.setter
-    def injector_state(self, payload: "dict[str, object]") -> None:
-        self._injector = payload
+        """Shard payloads parked for *stage* by an earlier run, by shard id."""
+        results = {}
+        for line in self._shards.get(stage, ()):
+            results.update(json.loads(line)["shards"][stage])
+        return results

@@ -217,9 +217,10 @@ class CampaignRunner:
         return runner
 
     def _save_checkpoint(self, stage: str, traces, done, complete: bool) -> None:
+        """Save the stage's *traces* and *done* job keys new since the last save."""
         if self.checkpoint is None:
             return
-        self.checkpoint.record_stage(stage, traces, sorted(done), complete)
+        self.checkpoint.record_stage(stage, traces, done, complete)
         self.checkpoint.health = self.health.as_dict()
         if self.injector is not None:
             self.checkpoint.injector_state = self.injector.state_dict()
@@ -341,13 +342,16 @@ class CampaignRunner:
         flow_id: int,
         keep_empty: bool,
     ) -> "list[TraceResult]":
-        if self.checkpoint is not None and self.checkpoint.stage_complete(stage):
-            return self.checkpoint.stage_traces(stage)
         done: "set[tuple[str, str]]" = set()
         traces: "list[TraceResult]" = []
-        if self.checkpoint is not None and self.checkpoint.stage(stage) is not None:
+        if self.checkpoint is not None:
+            if self.checkpoint.stage_complete(stage):
+                return self.checkpoint.stage_traces(stage)
             done = self.checkpoint.stage_done(stage)
             traces = self.checkpoint.stage_traces(stage)
+        # Each save hands the checkpoint only what is new since the last.
+        saved = len(traces)
+        fresh: "list[tuple[str, str]]" = []
         since_save = 0
         for vp, target in jobs:
             job_key = (vp.name, target)
@@ -356,15 +360,16 @@ class CampaignRunner:
             if self.stop_after is not None and self._executed >= self.stop_after:
                 self._sync_health()
                 self.health.interrupted = True
-                self._save_checkpoint(stage, traces, done, complete=False)
+                self._save_checkpoint(stage, traces[saved:], fresh, complete=False)
                 raise CampaignInterrupted(
                     f"campaign stopped after {self._executed} jobs "
                     f"(checkpoint: {getattr(self.checkpoint, 'path', None)})"
                 )
+            done.add(job_key)
+            fresh.append(job_key)
             if self._job_blocked(job_key):
                 self.health.targets_skipped += 1
                 self.health.degraded = True
-                done.add(job_key)
                 continue
             executor = vp
             if not self.fleet.is_alive(vp.name):
@@ -374,7 +379,6 @@ class CampaignRunner:
             if executor is None or self.fleet.alive_count() < self.min_vps:
                 self.health.targets_skipped += 1
                 self.health.degraded = True
-                done.add(job_key)
                 continue
             trace = self._execute_job(executor, job_key, flow_id)
             if trace is None and self.failover:
@@ -390,13 +394,12 @@ class CampaignRunner:
                 traces.append(trace)
             else:
                 self.health.empty_traces += 1
-            done.add(job_key)
             self._executed += 1
             since_save += 1
             if since_save >= self.checkpoint_every:
                 self._sync_health()
-                self._save_checkpoint(stage, traces, done, complete=False)
-                since_save = 0
+                self._save_checkpoint(stage, traces[saved:], fresh, complete=False)
+                saved, fresh, since_save = len(traces), [], 0
         self._sync_health()
-        self._save_checkpoint(stage, traces, done, complete=True)
+        self._save_checkpoint(stage, traces[saved:], fresh, complete=True)
         return traces

@@ -55,7 +55,12 @@ from repro.faults.plan import FaultPlan
 from repro.measure.runner import CampaignRunner
 from repro.measure.shard import Shard, plan_shards
 from repro.measure.substrates import WorkerSpec
-from repro.measure.traceroute import Hop, Tracerouter, TraceResult, _new_tuple
+from repro.measure.traceroute import (
+    Tracerouter,
+    TraceResult,
+    trace_from_row,
+    trace_to_row,
+)
 from repro.measure.vantage import VantagePoint
 from repro.perf.gcpause import gc_paused
 from repro.validate.quarantine import QuarantineReport
@@ -91,40 +96,6 @@ class _Speculative:
         self.fault_delta = fault_delta
 
 
-def _trace_to_wire(trace: TraceResult):
-    """Flatten one traceroute to positional tuples for the pipe.
-
-    Roughly 2x cheaper on both ends than the JSON-ready dicts of
-    :func:`repro.io.checkpoint.trace_to_dict` — and the supervisor
-    deserializes every trace the pool produces, so its per-trace cost
-    bounds the achievable speedup.  Tuples survive a JSON round trip
-    (as lists) when a completed shard is parked in the checkpoint,
-    which is why :func:`_trace_from_wire` accepts any sequence; the
-    checkpoint schema checks every parked row's shape at load.
-    """
-    return (
-        trace.src_address, trace.dst_address, trace.completed,
-        trace.flow_id, trace.vp_name,
-        [(h.index, h.address, h.rdns, h.rtt_ms, h.reply_ttl, h.attempts)
-         for h in trace.hops],
-    )
-
-
-def _trace_from_wire(payload) -> TraceResult:
-    """Rebuild a traceroute from :func:`_trace_to_wire` output.
-
-    Every hop is a six-field sequence, from a worker's pipe or from a
-    parked shard the checkpoint schema validated, so each ``Hop`` is
-    built without the named tuple's Python-level ``__new__``.
-    """
-    src, dst, completed, flow_id, vp_name, hops = payload
-    return TraceResult(
-        src_address=src, dst_address=dst,
-        hops=[_new_tuple(Hop, hop) for hop in hops],
-        completed=completed, flow_id=flow_id, vp_name=vp_name,
-    )
-
-
 def _die_hard() -> None:
     """Terminate this process without any Python-level cleanup."""
     sigkill = getattr(signal, "SIGKILL", None)
@@ -136,7 +107,7 @@ def _die_hard() -> None:
 def _run_shard(conn, tracer, vps, injector, shard, attempt, heartbeat_interval):
     """Execute one shard's jobs; returns ``(results, slow)``.
 
-    Results are ``(vp_name, target, trace_wire, tracer_delta,
+    Results are ``(vp_name, target, trace_row, tracer_delta,
     fault_delta)`` tuples in job order — exactly the payload
     :meth:`SupervisedCampaignRunner._ingest` replays.
     """
@@ -196,7 +167,7 @@ def _run_shard(conn, tracer, vps, injector, shard, attempt, heartbeat_interval):
             }
             faults_before = faults_after
         results.append(
-            (vp_name, target, _trace_to_wire(trace), tracer_delta, fault_delta)
+            (vp_name, target, trace_to_row(trace), tracer_delta, fault_delta)
         )
         now = time.monotonic()
         if now - last_heartbeat >= heartbeat_interval:
@@ -340,13 +311,6 @@ class SupervisedCampaignRunner(CampaignRunner):
     def _job_blocked(self, job_key: "tuple[str, str]") -> bool:
         return job_key in self._poisoned
 
-    def _save_checkpoint(self, stage, traces, done, complete) -> None:
-        if self.checkpoint is not None and complete:
-            # The stage's traces are now canonical; raw shard payloads
-            # would only bloat the file.
-            self.checkpoint.clear_shards(stage)
-        super()._save_checkpoint(stage, traces, done, complete)
-
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         speculative = self._speculative.pop((vp.name, target, flow_id), None)
         if speculative is None:
@@ -390,11 +354,10 @@ class SupervisedCampaignRunner(CampaignRunner):
     # Speculation: shard + supervise
     # ------------------------------------------------------------------
     def _precompute(self, jobs, stage: str, flow_id: int) -> None:
-        if self.checkpoint is not None and self.checkpoint.stage_complete(stage):
+        checkpoint = self.checkpoint
+        if checkpoint is not None and checkpoint.stage_complete(stage):
             return
-        done: "set[tuple[str, str]]" = set()
-        if self.checkpoint is not None and self.checkpoint.stage(stage) is not None:
-            done = self.checkpoint.stage_done(stage)
+        done = checkpoint.stage_done(stage) if checkpoint is not None else set()
         pending = [
             (vp, target) for vp, target in jobs if (vp.name, target) not in done
         ]
@@ -415,11 +378,7 @@ class SupervisedCampaignRunner(CampaignRunner):
             workers=self.workers,
         )
         self.health.shards_planned += len(shards)
-        stored = (
-            self.checkpoint.shard_results(stage)
-            if self.checkpoint is not None
-            else {}
-        )
+        stored = checkpoint.shard_results(stage) if checkpoint is not None else {}
         pending_shards: "list[Shard]" = []
         for shard in shards:
             payload = stored.get(shard.shard_id)
@@ -471,7 +430,7 @@ class SupervisedCampaignRunner(CampaignRunner):
         """Install one shard's worker results into the speculation table."""
         hops = 0
         for vp_name, target, trace_payload, tracer_delta, fault_delta in results:
-            trace = _trace_from_wire(trace_payload)
+            trace = trace_from_row(trace_payload)
             hops += len(trace.hops)
             self._speculative[(vp_name, target, shard.flow_id)] = _Speculative(
                 trace, tracer_delta, fault_delta
@@ -747,11 +706,7 @@ class SupervisedCampaignRunner(CampaignRunner):
             # and the caller gets a clean CampaignInterrupted instead
             # of a KeyboardInterrupt traceback.
             self.health.interrupted = True
-            if self.checkpoint is not None:
-                self.checkpoint.health = self.health.as_dict()
-                if self.injector is not None:
-                    self.checkpoint.injector_state = self.injector.state_dict()
-                self.checkpoint.save()
+            self._save_checkpoint(stage, [], [], complete=False)
             raise CampaignInterrupted(
                 "supervised campaign interrupted (checkpoint: "
                 f"{getattr(self.checkpoint, 'path', None)})"

@@ -118,6 +118,32 @@ class TraceResult:
         return pairs
 
 
+def trace_to_row(trace: TraceResult):
+    """Flatten one traceroute to ``(src, dst, completed, flow_id, vp_name,
+    [hop fields, ...])``: the row supervised workers send down their pipe
+    and campaign checkpoints store, about 2x cheaper than a dict."""
+    return (
+        trace.src_address, trace.dst_address, trace.completed,
+        trace.flow_id, trace.vp_name,
+        [(h.index, h.address, h.rdns, h.rtt_ms, h.reply_ttl, h.attempts)
+         for h in trace.hops],
+    )
+
+
+def trace_from_row(row) -> TraceResult:
+    """Rebuild a traceroute from a row, tuples or (after JSON) lists.
+
+    Rows come from a worker's pipe or a schema-checked checkpoint, so
+    each six-field hop skips the named tuple's Python-level ``__new__``.
+    """
+    src, dst, completed, flow_id, vp_name, hops = row
+    return TraceResult(
+        src_address=src, dst_address=dst,
+        hops=[_new_tuple(Hop, hop) for hop in hops],
+        completed=completed, flow_id=flow_id, vp_name=vp_name,
+    )
+
+
 class Tracerouter:
     """Traceroute campaigns against a :class:`Network`.
 

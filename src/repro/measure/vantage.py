@@ -130,9 +130,6 @@ class FleetView:
         return survivors[_stable_hash("failover", key) % len(survivors)]
 
 
-_HOST_SEQ = [0]
-
-
 def attach_host(
     network: Network,
     parent: Router,
@@ -156,8 +153,8 @@ def attach_host(
     base = int(net.network_address)
     parent_addr = ipaddress.IPv4Address(base + 1)
     host_addr = ipaddress.IPv4Address(base + 2)
-    _HOST_SEQ[0] += 1
-    host = Router(f"host-{name}-{_HOST_SEQ[0]:04d}", policy=ReplyPolicy())
+    network.hosts_attached += 1
+    host = Router(f"host-{name}-{network.hosts_attached:04d}", policy=ReplyPolicy())
     network.add_router(host)
     network.connect(
         parent, host, parent_addr, host_addr,

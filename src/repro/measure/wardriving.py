@@ -10,11 +10,12 @@ EdgeCO's last-mile device, and runs traceroute sweeps from each.
 
 from __future__ import annotations
 
+import pathlib
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import CheckpointError, MeasurementError
+from repro.errors import MeasurementError
 from repro.io.checkpoint import CampaignCheckpoint
 from repro.measure.runner import CampaignHealth, CampaignRunner
 from repro.measure.traceroute import TraceResult, Tracerouter
@@ -132,17 +133,15 @@ class McTracerouteCampaign:
         """
         tracer = Tracerouter(self.network, attempts=attempts)
         vps = self.usable_vps()
-        runner = None
-        if checkpoint_path is not None and resume:
-            try:
-                loaded = CampaignCheckpoint.load(checkpoint_path)
-            except CheckpointError:
-                pass  # nothing to resume: start fresh below
-            else:
-                runner = CampaignRunner.resumed(
-                    tracer, vps, loaded, min_vps=min_vps
-                )
-        if runner is None:
+        if resume and checkpoint_path is not None \
+                and pathlib.Path(checkpoint_path).exists():
+            # A corrupt checkpoint raises rather than being overwritten;
+            # only a missing one starts fresh.
+            runner = CampaignRunner.resumed(
+                tracer, vps, CampaignCheckpoint.load(checkpoint_path),
+                min_vps=min_vps,
+            )
+        else:
             checkpoint = (
                 CampaignCheckpoint(checkpoint_path)
                 if checkpoint_path is not None

@@ -77,6 +77,8 @@ class Network:
         #: or prefix route is added, so layers that memoise probe facts
         #: (the tracer's plan cache) know when to drop them.
         self.version = 0
+        #: Hosts attached so far: ``attach_host`` numbers them per network.
+        self.hosts_attached = 0
 
     # ------------------------------------------------------------------
     # Construction

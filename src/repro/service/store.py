@@ -64,7 +64,7 @@ except ImportError:  # pragma: no cover - non-posix fallback
     fcntl = None
 
 from repro.errors import ServiceError
-from repro.io.atomic import atomic_write_text
+from repro.io.atomic import atomic_write_text, read_log
 from repro.service.spec import JobSpec, job_id_for, spec_hash
 from repro.validate.schema import (
     ARTIFACT_VERSIONS,
@@ -88,6 +88,13 @@ TERMINAL_STATES = ("done", "failed")
 
 #: Journal-entry fields folded into the per-record event detail string.
 _EVENT_DETAIL_FIELDS = ("owner", "fidelity", "outcome", "reason", "error")
+
+
+def _parse_entry(line: bytes) -> dict:
+    entry = json.loads(line)
+    if not isinstance(entry, dict) or "seq" not in entry or "op" not in entry:
+        raise ValueError("not a journal entry")
+    return entry
 
 
 @dataclass
@@ -406,42 +413,21 @@ class JobStore:
         if not self.journal_path.exists():
             return
         data = self.journal_path.read_bytes()
-        offset = 0
-        valid_end = 0
-        lines = data.split(b"\n")
-        for index, raw in enumerate(lines):
-            line_start = offset
-            offset += len(raw) + 1
-            text = raw.strip()
-            if not text:
-                continue
-            is_tail = all(not rest.strip() for rest in lines[index + 1:])
-            try:
-                entry = json.loads(text)
-                if not isinstance(entry, dict) or "seq" not in entry \
-                        or "op" not in entry:
-                    raise ValueError("not a journal entry")
-            except ValueError as exc:
-                if is_tail:
-                    # The torn append of a killed process: expected
-                    # damage, dropped.  valid_end already marks the last
-                    # good line; the append path truncates to it.
-                    break
-                raise ServiceError(
-                    f"corrupt service journal {self.journal_path} "
-                    f"line {index + 1}: {exc}"
-                ) from exc
-            valid_end = line_start + len(raw) + 1
+        try:
+            entries = list(read_log(data, _parse_entry))
+        except ValueError as exc:
+            raise ServiceError(f"corrupt service journal {self.journal_path} {exc}") from exc
+        for _end, entry in entries:
             if entry["seq"] <= snapshot_seq:
                 continue
             self._apply(entry)
             self.seq = entry["seq"]
+        valid_end = entries[-1][0] if entries else 0
         if valid_end < len(data) and not self.readonly:
             # Caller holds the append lock, so the torn bytes belong to
             # a provably dead writer (live appends are serialized and
             # fsynced before the lock is released).
-            with open(self.journal_path, "r+b") as handle:
-                handle.truncate(valid_end)
+            os.truncate(self.journal_path, valid_end)
 
     # ------------------------------------------------------------------
     # Write path

@@ -29,7 +29,7 @@ ARTIFACT_VERSIONS = {
     "telco-region": 1,
     "mobile-carrier": 1,
     "campaign-health": 1,
-    "campaign-checkpoint": 1,
+    "campaign-checkpoint": 2,
     "quarantine-report": 1,
     "run-manifest": 1,
     "job-spec": 1,
@@ -54,6 +54,9 @@ class TupleOf:
 
     def __init__(self, *items) -> None:
         self.items = items
+        #: Per item, the value types that skip the full check: its bare
+        #: types, matched exactly (an int for a float takes the check).
+        self.exact = tuple(item if type(item) is tuple else (item,) for item in items)
 
 
 class MapOf:
@@ -183,8 +186,9 @@ def check(value, spec, path="$") -> None:
             raise SchemaError(
                 f"{_spell(path)}: expected {len(spec.items)} items, got {len(value)}"
             )
-        for index, (item, subspec) in enumerate(zip(value, spec.items)):
-            check(item, subspec, (path, index))
+        for index, (item, subspec, exact) in enumerate(zip(value, spec.items, spec.exact)):
+            if type(item) not in exact:
+                check(item, subspec, (path, index))
         return
     if kind is MapOf:
         if not isinstance(value, dict):
@@ -193,7 +197,8 @@ def check(value, spec, path="$") -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise SchemaError(f"{_spell(path)}: non-string key {key!r}")
-            check(item, value_spec, (path, key))
+            if type(item) is not value_spec:
+                check(item, value_spec, (path, key))
         return
     raise TypeError(f"{_spell(path)}: unsupported schema spec {spec!r}")
 
@@ -288,7 +293,7 @@ _CAMPAIGN_HEALTH = {
     },
 }
 
-_CHECKPOINT_HOP = {
+_CORPUS_HOP = {
     "i": int,
     "addr": (str, _NoneType),
     "rdns": Opt((str, _NoneType)),
@@ -297,48 +302,44 @@ _CHECKPOINT_HOP = {
     "tries": Opt(int),
 }
 
-_CHECKPOINT_TRACE = {
+_CORPUS_TRACE = {
     "src": str,
     "dst": str,
     "completed": Opt(bool),
     "flow_id": Opt(int),
     "vp": Opt(str),
-    "hops": ListOf(_CHECKPOINT_HOP),
+    "hops": ListOf(_CORPUS_HOP),
 }
 
-#: A supervised worker's trace on the wire (``_trace_to_wire``): src,
-#: dst, completed, flow id, VP name and hops of (index, address, rdns,
-#: rtt, reply TTL, attempts).
+#: One trace row (``repro.measure.traceroute.trace_to_row``), on a
+#: worker's pipe or in a checkpoint record: src, dst, completed, flow
+#: id, VP name and hops of (index, address, rdns, rtt, reply TTL,
+#: attempts).
 _WIRE_TRACE = TupleOf(
     str, str, bool, int, str,
     ListOf(TupleOf(int, (str, _NoneType), (str, _NoneType),
                    (float, _NoneType), (int, _NoneType), int)),
 )
 
-#: One parked shard result row: VP name, target, wire trace, the probe
+#: One parked shard result row: VP name, target, trace row, the probe
 #: counter deltas and the fault-stat deltas (null without faults).
 _SHARD_RESULT = TupleOf(
     str, str, _WIRE_TRACE, MapOf(float), (MapOf(int), _NoneType),
 )
 
-_CAMPAIGN_CHECKPOINT = {
-    "schema": int,
-    "kind": str,
+#: Line 1 of a checkpoint file; the records follow it.
+_CAMPAIGN_CHECKPOINT = {"schema": int, "kind": str}
+
+#: One appended checkpoint record: what changed since the last save.
+CHECKPOINT_RECORD = {
     "stages": MapOf({
+        "traces": ListOf(_WIRE_TRACE),
+        "done": ListOf(TupleOf(str, str)),
         "complete": bool,
-        "done": ListOf(ListOf(str)),
-        "traces": ListOf(_CHECKPOINT_TRACE),
-        # Binary-corpus stages store traces in an .npz sidecar instead
-        # of inline JSON; the stage record carries the pointer + digest.
-        "corpus": Opt({
-            "format": str,
-            "file": str,
-            "sha256": str,
-        }),
     }),
+    "shards": MapOf(MapOf({"results": ListOf(_SHARD_RESULT)})),
     "health": MapOf(ANY),
     "injector": MapOf(ANY),
-    "shards": Opt(MapOf(MapOf({"results": ListOf(_SHARD_RESULT)}))),
 }
 
 _QUARANTINE_REPORT = {
@@ -451,7 +452,7 @@ _JOB_RECORD = {
 _TRACE_CORPUS = {
     "schema": int,
     "kind": str,
-    "traces": ListOf(_CHECKPOINT_TRACE),
+    "traces": ListOf(_CORPUS_TRACE),
 }
 
 # Cross-version topology delta served by ``GET /jobs/<a>/diff/<b>``:

@@ -135,6 +135,33 @@ class TestCheckpointResume:
         assert resumed.health.resumed is True
         assert resumed.health.interrupted is False
 
+    def test_resume_after_a_torn_save_converges(self, fleet, tmp_path):
+        # A process killed mid-save leaves half a record at the end of
+        # the log: the resume drops it, redoes that work, and overwrites
+        # the torn bytes with its own first record.
+        net, _routers, vps = fleet
+        reference = [trace_to_dict(t) for t in self._uninterrupted(net, vps)]
+        path = tmp_path / "camp.json"
+        net.attach_faults(FaultInjector(self.PLAN))
+        runner = CampaignRunner(
+            Tracerouter(net), vps, checkpoint=CampaignCheckpoint(path),
+            checkpoint_every=2, stop_after=5,
+        )
+        with pytest.raises(CampaignInterrupted):
+            runner.run(_jobs(vps), stage="s")
+        whole = path.read_bytes()
+        last = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        path.write_bytes(whole + whole[last:-7])  # a torn copy of the last save
+
+        net.attach_faults(FaultInjector(self.PLAN))
+        resumed = CampaignRunner.resumed(
+            Tracerouter(net), vps, CampaignCheckpoint.load(path)
+        )
+        traces = resumed.run(_jobs(vps), stage="s")
+        assert [trace_to_dict(t) for t in traces] == reference
+        assert path.read_bytes().startswith(whole)
+        assert CampaignCheckpoint.load(path).stage_complete("s")
+
     def test_complete_stage_loads_wholesale(self, fleet, tmp_path):
         net, _routers, vps = fleet
         checkpoint = CampaignCheckpoint(tmp_path / "camp.json")

@@ -169,20 +169,40 @@ class TestCheckpointRoundTrip:
             == [trace_to_dict(t) for t in stage_traces]
         )
 
-    @given(st.lists(traces, min_size=1, max_size=3), st.data())
-    def test_truncated_checkpoint_raises_checkpoint_error(
+    @given(st.lists(traces, min_size=1, max_size=4), st.data())
+    def test_truncated_checkpoint_keeps_its_whole_records(
         self, stage_traces, data
     ):
+        """A cut inside the header raises; a cut after it is a torn
+        save, so the load keeps exactly the records before the cut."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ckpt.json"
             checkpoint = CampaignCheckpoint(path)
-            checkpoint.record_stage("slash24", stage_traces, [], True)
-            checkpoint.save()
-            text = path.read_text()
-            cut = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
-            path.write_text(text[:cut])
-            with pytest.raises(CheckpointError):
-                CampaignCheckpoint.load(path)
+            ends = []
+            for index, trace in enumerate(stage_traces):
+                checkpoint.record_stage(
+                    "slash24", [trace], [("vp", str(index))],
+                    index == len(stage_traces) - 1,
+                )
+                checkpoint.save()
+                ends.append(path.stat().st_size)
+            raw = path.read_bytes()
+            cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+            path.write_bytes(raw[:cut])
+            if cut <= raw.index(b"\n"):
+                with pytest.raises(CheckpointError):
+                    CampaignCheckpoint.load(path)
+                return
+            loaded = CampaignCheckpoint.load(path)
+        whole = sum(1 for end in ends if end <= cut)
+        assert (
+            [trace_to_dict(t) for t in loaded.stage_traces("slash24")]
+            == [trace_to_dict(t) for t in stage_traces[:whole]]
+        )
+        assert loaded.stage_done("slash24") == {
+            ("vp", str(index)) for index in range(whole)
+        }
+        assert loaded.stage_complete("slash24") == (whole == len(ends))
 
     @given(st.lists(traces, min_size=1, max_size=3), st.data())
     def test_mutated_checkpoint_raises_checkpoint_error(
@@ -193,23 +213,24 @@ class TestCheckpointRoundTrip:
             checkpoint = CampaignCheckpoint(path)
             checkpoint.record_stage("slash24", stage_traces, [], True)
             checkpoint.save()
-            payload = json.loads(path.read_text())
+            header, record = map(json.loads, path.read_text().splitlines())
             mutation = data.draw(st.sampled_from([
                 "hop-index-string", "trace-missing-dst", "stage-not-object",
                 "done-not-list", "wrong-kind",
             ]))
+            stage = record["stages"]["slash24"]
             if mutation == "hop-index-string":
-                payload["stages"]["slash24"]["traces"][0]["hops"] = [
-                    {"i": "one", "addr": None}
-                ]
+                stage["traces"][0][5] = [["one", None, None, None, None, 1]]
             elif mutation == "trace-missing-dst":
-                del payload["stages"]["slash24"]["traces"][0]["dst"]
+                del stage["traces"][0][1]
             elif mutation == "stage-not-object":
-                payload["stages"]["slash24"] = "done"
+                record["stages"]["slash24"] = "done"
             elif mutation == "done-not-list":
-                payload["stages"]["slash24"]["done"] = {"vp": "t"}
+                stage["done"] = {"vp": "t"}
             elif mutation == "wrong-kind":
-                payload["kind"] = "campaign-health"
-            path.write_text(json.dumps(payload))
+                header["kind"] = "campaign-health"
+            # The mutated record is whole, so it is corruption, never
+            # mistaken for a torn save.
+            path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
             with pytest.raises(CheckpointError, match="checkpoint"):
                 CampaignCheckpoint.load(path)

@@ -16,11 +16,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
 from repro.measure.substrates import WorkerSpec, toy_substrate
-from repro.measure.supervisor import (
-    SupervisedCampaignRunner,
-    _trace_from_wire,
-    _trace_to_wire,
-)
+from repro.measure.supervisor import SupervisedCampaignRunner
+from repro.measure.traceroute import trace_from_row, trace_to_row
 
 SPEC = WorkerSpec("repro.measure.substrates:toy_substrate", {"hosts": 3})
 TARGETS = [f"198.18.5.{i}" for i in range(1, 41)]
@@ -82,12 +79,12 @@ class TestWireFormat:
         vp = vps["vp0"]
         trace = tracer.trace(vp.host, "198.18.5.1", src_address=vp.src_address)
         trace.vp_name = vp.name
-        wire = _trace_to_wire(trace)
-        assert trace_to_dict(_trace_from_wire(wire)) == trace_to_dict(trace)
-        # A shard parked in the checkpoint JSON-round-trips its wire
-        # tuples into lists; rebuilding must accept that form too.
-        relisted = json.loads(json.dumps(wire))
-        assert trace_to_dict(_trace_from_wire(relisted)) == trace_to_dict(trace)
+        row = trace_to_row(trace)
+        assert trace_to_dict(trace_from_row(row)) == trace_to_dict(trace)
+        # A row stored in a checkpoint JSON-round-trips its tuples into
+        # lists; rebuilding must accept that form too.
+        relisted = json.loads(json.dumps(row))
+        assert trace_to_dict(trace_from_row(relisted)) == trace_to_dict(trace)
 
 
 def _parked_checkpoint(path):
@@ -98,11 +95,12 @@ def _parked_checkpoint(path):
     for target, fault_delta in (("198.18.5.1", None), ("198.18.5.2", {"probes_lost": 1})):
         trace = tracer.trace(vp.host, target, src_address=vp.src_address)
         trace.vp_name = vp.name
-        rows.append((vp.name, target, _trace_to_wire(trace), tracer.counters(), fault_delta))
+        rows.append((vp.name, target, trace_to_row(trace), tracer.counters(), fault_delta))
     checkpoint = CampaignCheckpoint(path)
     checkpoint.record_shard("s", "s-0", {"results": rows})
     checkpoint.save()
-    return json.loads(path.read_text())
+    header, record = path.read_text().splitlines()
+    return header, json.loads(record)
 
 
 #: A corruption of the parked payload, and the JSON path it is named by.
@@ -120,21 +118,21 @@ _ROW_CORRUPTIONS = {
 class TestParkedShardRows:
     def test_real_rows_load_and_rebuild(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        payload = _parked_checkpoint(path)
+        _header, record = _parked_checkpoint(path)
         results = CampaignCheckpoint.load(path).shard_results("s")["s-0"]["results"]
-        assert results == payload["shards"]["s"]["s-0"]["results"]
+        assert results == record["shards"]["s"]["s-0"]["results"]
         for _vp, _target, wire, _tracer_delta, _fault_delta in results:
-            assert _trace_to_wire(_trace_from_wire(wire)) == tuple(
+            assert trace_to_row(trace_from_row(wire)) == tuple(
                 [*wire[:5], [tuple(hop) for hop in wire[5]]]
             )
 
     @pytest.mark.parametrize("corruption", sorted(_ROW_CORRUPTIONS))
     def test_a_malformed_row_fails_the_load(self, tmp_path, corruption):
         path = tmp_path / "ckpt.json"
-        payload = _parked_checkpoint(path)
+        header, record = _parked_checkpoint(path)
         corrupt, where = _ROW_CORRUPTIONS[corruption]
-        corrupt(payload["shards"]["s"]["s-0"]["results"][1])
-        path.write_text(json.dumps(payload))
+        corrupt(record["shards"]["s"]["s-0"]["results"][1])
+        path.write_text(f"{header}\n{json.dumps(record)}\n")
         with pytest.raises(CheckpointError, match="corrupt checkpoint") as failure:
             CampaignCheckpoint.load(path)
         assert where in str(failure.value)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import CheckpointError, MeasurementError
 from repro.measure.traceroute import Hop, TraceResult
 from repro.measure.wardriving import McTracerouteCampaign
 
@@ -50,6 +50,35 @@ class TestSweep:
         traces = campaign.sweep(targets)
         assert traces
         assert all(t.vp_name.startswith("mcd-") for t in traces)
+
+    def _targets(self, internet):
+        import re
+
+        pattern = re.compile(r"lightspeed\.lsanca\.sbcglobal\.net$")
+        return internet.network.rdns.addresses_matching(pattern)[:3]
+
+    def test_resume_without_a_checkpoint_starts_fresh(
+        self, campaign, internet, tmp_path
+    ):
+        path = tmp_path / "sweep.json"
+        traces = campaign.sweep(
+            self._targets(internet), checkpoint_path=path, resume=True
+        )
+        assert traces
+        assert not campaign.last_health.resumed
+        assert path.exists()
+
+    def test_resume_from_a_corrupt_checkpoint_raises(
+        self, campaign, internet, tmp_path
+    ):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"kind": "campaign-checkpoint", "sch')
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            campaign.sweep(
+                self._targets(internet), checkpoint_path=path, resume=True
+            )
+        # Not discarded, and not overwritten by a fresh sweep.
+        assert path.read_text() == '{"kind": "campaign-checkpoint", "sch'
 
     def test_distinct_paths_skips_access_hop(self):
         hops_a = [Hop(1, "10.0.0.1"), Hop(2, "10.0.0.5"), Hop(3, "10.0.0.9")]

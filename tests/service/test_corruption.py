@@ -16,26 +16,42 @@ from repro.io.checkpoint import CampaignCheckpoint
 from repro.service.spec import JobSpec
 from repro.service.store import JobStore
 
+_HEADER = json.dumps({"kind": "campaign-checkpoint", "schema": 2})
+
+
+def _lines(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _record(**fields):
+    return json.dumps(
+        {"stages": {}, "shards": {}, "health": {}, "injector": {}, **fields}
+    )
+
+
 CHECKPOINT_VARIANTS = {
     "empty": "",
     "truncated": '{"schema": 1, "kind": "campaign-checkpoint", "stages',
     "garbled-json": "\x00\x01not json at all\x7f",
     "wrong-kind": json.dumps({"schema": 1, "kind": "cable-region"}),
-    "schema-violation": json.dumps(
-        {"schema": 1, "kind": "campaign-checkpoint", "stages": "nope",
+    # A whole checkpoint in the single-document layout of schema 1.
+    "schema-1": json.dumps(
+        {"schema": 1, "kind": "campaign-checkpoint", "stages": {},
          "health": {}, "injector": {}, "shards": {}}
     ),
+    "missing-header": _lines(_record()),
+    "schema-violation": _lines(_HEADER, _record(stages="nope")),
+    # A record before the last one that is not whole JSON: corruption,
+    # not a torn save.
+    "corrupt-middle-record": _lines(_HEADER, '{"stages": {', _record()),
     # A parked shard whose hop row lost its last three fields.
-    "truncated-shard-hop": json.dumps(
-        {"schema": 1, "kind": "campaign-checkpoint", "stages": {},
-         "health": {}, "injector": {},
-         "shards": {"slash24": {"slash24-0000": {"results": [
-             ["vp0", "198.18.5.1",
-              ["10.9.0.2", "198.18.5.1", False, 0, "vp0",
-               [[1, "10.0.0.1", None]]],
-              {"probes_sent": 1}, None],
-         ]}}}}
-    ),
+    "truncated-shard-hop": _lines(_HEADER, _record(shards={"slash24": {
+        "slash24-0000": {"results": [
+            ["vp0", "198.18.5.1",
+             ["10.9.0.2", "198.18.5.1", False, 0, "vp0",
+              [[1, "10.0.0.1", None]]],
+             {"probes_sent": 1}, None],
+        ]}}})),
 }
 
 JOURNAL_VARIANTS = {

@@ -60,6 +60,24 @@ class TestSameSeedSameWorld:
             prefixes.append(str(attachment.user_prefix))
         assert prefixes[0] == prefixes[1]
 
+    def test_identical_vantage_point_hosts(self):
+        """Hosts are numbered per network, so a second build of one
+        substrate in the same process names its hosts as the first did."""
+        from repro.measure.substrates import cable_campaign
+
+        builds = []
+        for _ in range(2):
+            internet, fleet, _spec = cable_campaign(seed=0)
+            tracer = Tracerouter(internet.network)
+            targets = [addr for addr, _name in internet.network.rdns.snapshot_items()][:3]
+            traces = [
+                [(h.address, h.rtt_ms) for h in tracer.trace(
+                    vp.host, target, src_address=vp.src_address).hops]
+                for vp in fleet[:4] for target in targets
+            ]
+            builds.append(([vp.host.uid for vp in fleet], traces))
+        assert builds[0] == builds[1]
+
     def test_different_seeds_differ(self):
         nets = []
         for seed in (1, 2):

@@ -178,15 +178,17 @@ class TestCliCheckpoint:
         self, tmp_path, capsys
     ):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "schema": 1, "kind": "campaign-checkpoint",
+        header = {"kind": "campaign-checkpoint", "schema": 2}
+        record = {
             "stages": {"slash24": {"complete": True, "done": [],
-                                   "traces": [{"src": "10.0.0.1"}]}},
-        }))
+                                   "traces": [["10.0.0.1"]]}},
+            "shards": {}, "health": {}, "injector": {},
+        }
+        path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
         rc = main(["map-cable", "comcast", "--sweep-vps", "2",
                    "--resume", str(path), "--validate", "strict"])
         assert rc == 3
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: corrupt checkpoint")
-        assert "$.stages.slash24.traces[0]" in err_lines[0]
+        assert "record 1: $.stages.slash24.traces[0]" in err_lines[0]
