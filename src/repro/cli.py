@@ -56,27 +56,29 @@ def cmd_build(args) -> int:
 def _export_corpus(args, result) -> None:
     """Write the collected corpora to ``--corpus-out`` (+ ``.followup``).
 
-    JSON mode writes the validated ``trace-corpus`` artifact; binary
-    mode writes the columnar ``.npz`` container.  Both load back through
-    the schema layer.  A binary campaign already lifted both corpora for
-    inference, so only JSON mode lifts them here.
+    Binary mode writes the columnar ``.npz`` containers the campaign
+    already lifted for inference; JSON mode writes the validated
+    ``trace-corpus`` artifact straight from the traces, without numpy.
+    Both load back through the schema layer.
     """
-    from repro.corpus import TraceCorpus, corpus_to_json, save_corpus
     from repro.io.atomic import atomic_write_text
 
     out = pathlib.Path(args.corpus_out)
     followup_out = out.with_name(f"{out.stem}.followup{out.suffix}")
-    corpus, followup_corpus = result.corpus, result.followup_corpus
-    if corpus is None:
-        corpus = TraceCorpus.from_traces(result.traces)
-        followup_corpus = TraceCorpus.from_traces(result.followup_traces)
-    corpora = ((out, corpus), (followup_out, followup_corpus))
-    for path, corpus in corpora:
-        if args.corpus_format == "binary":
+    if args.corpus_format == "binary":
+        from repro.corpus import save_corpus
+
+        corpora = ((out, result.corpus), (followup_out, result.followup_corpus))
+        for path, corpus in corpora:
             save_corpus(path, corpus)
-        else:
-            atomic_write_text(path, corpus_to_json(corpus) + "\n")
-        print(f"wrote {len(corpus)}-trace corpus to {path}")
+            print(f"wrote {len(corpus)}-trace corpus to {path}")
+        return
+    from repro.io.checkpoint import traces_to_corpus_json
+
+    corpora = ((out, result.traces), (followup_out, result.followup_traces))
+    for path, traces in corpora:
+        atomic_write_text(path, traces_to_corpus_json(traces) + "\n")
+        print(f"wrote {len(traces)}-trace corpus to {path}")
 
 
 def cmd_map_cable(args) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.corpus.columnar import _ARRAY_FIELDS, StringTable, TraceCorpus
 from repro.errors import SchemaError
-from repro.io.checkpoint import trace_from_dict, trace_to_dict
+from repro.io.checkpoint import trace_from_dict, traces_to_corpus_json
 from repro.validate.schema import parse_artifact
 
 CORPUS_KIND = "trace-corpus"
@@ -44,12 +44,7 @@ _TABLE_FIELDS = ("addresses", "hostnames", "vps")
 # ----------------------------------------------------------------------
 def corpus_to_json(corpus: TraceCorpus) -> str:
     """Serialize as the validated ``trace-corpus`` JSON artifact."""
-    payload = {
-        "schema": CORPUS_SCHEMA_VERSION,
-        "kind": CORPUS_KIND,
-        "traces": [trace_to_dict(trace) for trace in corpus.to_traces()],
-    }
-    return json.dumps(payload, sort_keys=True)
+    return traces_to_corpus_json(corpus.to_traces())
 
 
 def corpus_from_json(text: str) -> TraceCorpus:

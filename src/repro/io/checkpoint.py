@@ -78,6 +78,20 @@ def trace_from_dict(payload: "dict[str, object]") -> TraceResult:
     )
 
 
+def traces_to_corpus_json(traces: "list[TraceResult]") -> str:
+    """Serialize *traces* as the validated ``trace-corpus`` JSON artifact.
+
+    Written straight from the trace objects, so a JSON export needs no
+    columnar lift (and no numpy).
+    """
+    payload = {
+        "schema": ARTIFACT_VERSIONS["trace-corpus"],
+        "kind": "trace-corpus",
+        "traces": [trace_to_dict(trace) for trace in traces],
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
 def _parse_record(line: bytes):
     """One whole record: a newline-terminated JSON value."""
     if not line.endswith(b"\n"):

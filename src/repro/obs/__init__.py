@@ -25,7 +25,7 @@ from repro.obs.manifest import (
     sha256_text,
     write_run_manifest,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, labeled
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.span import Span, Tracer
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "fault_plan_digest",
     "run_manifest_from_json",
     "run_manifest_to_json",
-    "labeled",
     "sha256_bytes",
     "sha256_text",
     "write_run_manifest",

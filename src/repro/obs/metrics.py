@@ -28,18 +28,6 @@ from __future__ import annotations
 import json
 
 
-def labeled(name: str, **labels) -> str:
-    """``name{key=value,...}`` — the flat label convention for metrics.
-
-    The registry is name-keyed, so labels are folded into the name
-    (``service.attempts{executor=e1}``); keys sort for stability.
-    """
-    if not labels:
-        return name
-    inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-    return f"{name}{{{inner}}}"
-
-
 class Counter:
     """A monotonically increasing metric."""
 

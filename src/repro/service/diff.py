@@ -29,18 +29,25 @@ from repro.corpus.columnar import (
     adjacent_pair_counts,
     responding_address_ids,
 )
-from repro.errors import ServiceError
-from repro.validate.schema import ARTIFACT_VERSIONS, validate_artifact
+from repro.errors import SchemaError, ServiceError
+from repro.validate.schema import (
+    ARTIFACT_VERSIONS,
+    CORPUS_TRACE,
+    ListOf,
+    check,
+    validate_artifact,
+)
 
 
 def load_job_corpus(job_dir: "str | pathlib.Path", record) -> TraceCorpus:
     """The finished job's trace corpus, whichever format it chose.
 
     ``corpus.npz`` loads through the schema-validated binary container;
-    ``corpus.json`` is the legacy bare trace list, lifted through the
-    checkpoint trace codec into a columnar corpus.  A job without a
-    corpus artifact (e.g. ``map-cable``, which exports region
-    topologies instead) raises :class:`ServiceError`.
+    ``corpus.json`` is the legacy bare trace list, checked entry by
+    entry against the trace-corpus trace schema and lifted through the
+    JSON trace codec into a columnar corpus.  A job without a corpus
+    artifact (e.g. ``map-cable``, which exports region topologies
+    instead) or with a corrupt one raises :class:`ServiceError`.
     """
     job_dir = pathlib.Path(job_dir)
     if "corpus.npz" in record.artifacts:
@@ -52,15 +59,11 @@ def load_job_corpus(job_dir: "str | pathlib.Path", record) -> TraceCorpus:
 
         try:
             payload = json.loads((job_dir / "corpus.json").read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            check(payload, ListOf(CORPUS_TRACE))
+        except (OSError, json.JSONDecodeError, SchemaError) as exc:
             raise ServiceError(
                 f"corrupt corpus artifact for job {record.job_id}: {exc}"
             ) from exc
-        if not isinstance(payload, list):
-            raise ServiceError(
-                f"corrupt corpus artifact for job {record.job_id}: "
-                "expected a trace list"
-            )
         return TraceCorpus.from_traces(
             [trace_from_dict(entry) for entry in payload]
         )

@@ -19,6 +19,7 @@ when the supervised runner quarantined poison shards, a validated
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -48,17 +49,16 @@ def _scaled(count: int, fidelity: str, floor: int = 1) -> int:
     return max(floor, int(count * _FIDELITY_SCALE[fidelity]))
 
 
-def _load_or_new_checkpoint(path: pathlib.Path) -> CampaignCheckpoint:
-    """Resume the job's campaign checkpoint; start fresh if corrupt.
+@contextlib.contextmanager
+def _discarding_corrupt_checkpoint(path: pathlib.Path):
+    """Turn a corrupt job checkpoint into a discarded one.
 
     A corrupt checkpoint is attempt-local damage, not poison: it is
     removed so the retry restarts the campaign from zero, and the
     attempt is charged via :class:`ServiceError`.
     """
-    if not path.exists():
-        return CampaignCheckpoint(path)
     try:
-        return CampaignCheckpoint.load(path)
+        yield
     except CheckpointError as exc:
         path.unlink(missing_ok=True)
         raise ServiceError(
@@ -179,7 +179,11 @@ class JobExecutor:
             tracer.network.attach_faults(FaultInjector(plan))
         checkpoint_path = job_dir / "checkpoint.json"
         resumed = checkpoint_path.exists()
-        checkpoint = _load_or_new_checkpoint(checkpoint_path)
+        with _discarding_corrupt_checkpoint(checkpoint_path):
+            checkpoint = (
+                CampaignCheckpoint.load(checkpoint_path) if resumed
+                else CampaignCheckpoint(checkpoint_path)
+            )
         options = {
             "obs": self.obs,
             "metrics": self.metrics,
@@ -232,9 +236,6 @@ class JobExecutor:
             raise ServiceError(f"unknown ISP {spec.isp!r}") from None
         plan = FaultPlan(**spec.faults) if spec.faults else None
         checkpoint_path = job_dir / "checkpoint.json"
-        # Discard-if-corrupt guard: a damaged checkpoint costs this
-        # attempt, not the job.
-        _load_or_new_checkpoint(checkpoint_path)
         pipeline = CableInferencePipeline(
             internet.network, isp, fleet,
             sweep_vps=_scaled(spec.sweep_vps, fidelity, floor=2),
@@ -244,7 +245,10 @@ class JobExecutor:
             workers=spec.workers, worker_spec=worker_spec,
             trace_seed=spec.seed,
         )
-        result = pipeline.run()
+        # The pipeline loads the checkpoint it resumes from; a damaged
+        # one costs this attempt, not the job.
+        with _discarding_corrupt_checkpoint(checkpoint_path):
+            result = pipeline.run()
         artifacts: "dict[str, dict]" = {}
         for name, region in sorted(result.regions.items()):
             self._write(stage_dir, f"{spec.isp}-{name}.json",

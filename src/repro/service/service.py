@@ -40,11 +40,10 @@ loop over a crash-safe :class:`~repro.service.store.JobStore`:
   path (checkpoint flushed, workers terminated) and still exits 0.
 
 Every state transition publishes to the service's
-:class:`~repro.obs.metrics.MetricsRegistry` and span tree — both under
-the legacy unlabeled names and under per-executor labels
-(:func:`~repro.obs.metrics.labeled`) — exported to
-``service-metrics[-<id>].json`` / ``service-trace[-<id>].json`` in the
-state directory at every flush.
+:class:`~repro.obs.metrics.MetricsRegistry` and span tree.  Each
+executor owns its registry, exported to ``service-metrics[-<id>].json``
+/ ``service-trace[-<id>].json`` in the state directory at every flush
+(``/metrics`` keys them by executor id).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.io.atomic import atomic_write_text
-from repro.obs import MetricsRegistry, Tracer, labeled
+from repro.obs import MetricsRegistry, Tracer
 from repro.service.executor import JobExecutor
 from repro.service.scheduler import Scheduler
 from repro.service.spec import JobSpec, job_spec_from_json
@@ -111,11 +110,6 @@ class CampaignService:
         #: lease we hold mid-run belongs to the in-flight attempt.
         self._recover_own_leases()
 
-    def _inc(self, name: str) -> None:
-        """Count under both the fleet-wide and the per-executor name."""
-        self.metrics.inc(name)
-        self.metrics.inc(labeled(name, executor=self.executor_id))
-
     # ------------------------------------------------------------------
     # Lease recovery
     # ------------------------------------------------------------------
@@ -140,7 +134,7 @@ class CampaignService:
                         reason="executor restarted",
                         not_before=now + backoff,
                     )
-                    self._inc("service.leases_reclaimed")
+                    self.metrics.inc("service.leases_reclaimed")
 
     def _reclaim_expired(self) -> None:
         """Requeue jobs whose lease expired — their executor is gone.
@@ -166,7 +160,7 @@ class CampaignService:
                     "release", job_id=job_id, reason="lease expired",
                     not_before=self.clock() + backoff,
                 )
-                self._inc("service.leases_reclaimed")
+                self.metrics.inc("service.leases_reclaimed")
 
     # ------------------------------------------------------------------
     # Admission
@@ -181,13 +175,13 @@ class CampaignService:
         error = self.scheduler.admission_error()
         if error is not None:
             self.store.reject(spec, error)
-            self._inc("service.jobs_rejected")
+            self.metrics.inc("service.jobs_rejected")
             return None, error
         record, created = self.store.submit(spec)
         if created:
-            self._inc("service.jobs_submitted")
+            self.metrics.inc("service.jobs_submitted")
             return record, "admitted"
-        self._inc("service.jobs_deduped")
+        self.metrics.inc("service.jobs_deduped")
         return record, "deduped"
 
     def ingest_inbox(self) -> int:
@@ -211,7 +205,7 @@ class CampaignService:
                     "reject", spec_hash=path.stem,
                     reason=f"invalid job spec: {exc}",
                 )
-                self._inc("service.jobs_rejected")
+                self.metrics.inc("service.jobs_rejected")
                 path.unlink(missing_ok=True)
                 taken += 1
                 continue
@@ -290,7 +284,7 @@ class CampaignService:
                 "failed", job_id=job_id, reason=reason, error=error,
                 artifact="failure.json", artifacts=artifacts,
             )
-        self._inc("service.jobs_failed")
+        self.metrics.inc("service.jobs_failed")
         self._write_record(self.store.jobs[job_id])
         return True
 
@@ -302,7 +296,7 @@ class CampaignService:
         reclaim already charged the budget via its ``release``.
         """
         shutil.rmtree(stage_dir, ignore_errors=True)
-        self._inc("service.leases_lost")
+        self.metrics.inc("service.leases_lost")
         return "lease-lost"
 
     def _run_attempt(self, record: JobRecord) -> str:
@@ -316,10 +310,10 @@ class CampaignService:
         if token is None:
             # Another executor claimed it between our scheduling pass
             # and the CAS — not an error, just a lost race.
-            self._inc("service.claims_lost")
+            self.metrics.inc("service.claims_lost")
             return "claim-lost"
         record = self.store.jobs[job_id]
-        self._inc("service.attempts")
+        self.metrics.inc("service.attempts")
         attempt = record.attempts
         spec = record.spec
         stop = threading.Event()
@@ -376,7 +370,7 @@ class CampaignService:
                 )
                 if not settled:
                     return self._abandon(job_id, stage_dir)
-                self._inc("service.retries")
+                self.metrics.inc("service.retries")
                 return "degraded-retry"
             # Promotion and the terminal append are one locked
             # transaction gated on the fencing token: a zombie can
@@ -394,7 +388,7 @@ class CampaignService:
                     settled = True
             if not settled:
                 return self._abandon(job_id, stage_dir)
-            self._inc("service.jobs_done")
+            self.metrics.inc("service.jobs_done")
             self._write_record(self.store.jobs[job_id])
             return "done"
         if outcome == "interrupted":
@@ -407,7 +401,7 @@ class CampaignService:
             )
             if not settled:
                 return self._abandon(job_id, stage_dir)
-            self._inc("service.interrupted_attempts")
+            self.metrics.inc("service.interrupted_attempts")
             return "interrupted"
         shutil.rmtree(stage_dir, ignore_errors=True)
         if self.scheduler.exhausted(record):
@@ -423,7 +417,7 @@ class CampaignService:
         )
         if not settled:
             return self._abandon(job_id, stage_dir)
-        self._inc("service.retries")
+        self.metrics.inc("service.retries")
         return "retried"
 
     def _promote(self, stage_dir: pathlib.Path, job_id: str,

@@ -302,7 +302,9 @@ _CORPUS_HOP = {
     "tries": Opt(int),
 }
 
-_CORPUS_TRACE = {
+#: One trace of a JSON trace corpus
+#: (:func:`repro.io.checkpoint.trace_to_dict`).
+CORPUS_TRACE = {
     "src": str,
     "dst": str,
     "completed": Opt(bool),
@@ -452,7 +454,7 @@ _JOB_RECORD = {
 _TRACE_CORPUS = {
     "schema": int,
     "kind": str,
-    "traces": ListOf(_CORPUS_TRACE),
+    "traces": ListOf(CORPUS_TRACE),
 }
 
 # Cross-version topology delta served by ``GET /jobs/<a>/diff/<b>``:

@@ -1,8 +1,8 @@
-"""Policy route models: valley-freeness, determinism, fallbacks,
-supervised-worker parity, a pinned hot-potato campaign, and equality with
-the frozen per-model engines of ``routemodel_oracle``."""
+"""Policy route models: valley-freeness, determinism, fallbacks, and
+equality with the frozen per-model engines of ``routemodel_oracle``.
 
-import hashlib
+Campaigns under each model, serial and supervised, are pinned in
+``tests/integration/test_parity_matrix.py``."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +16,8 @@ from repro.bias.routemodel import (
     build_route_model,
 )
 from repro.errors import TopologyError
-from repro.io.export import region_to_json
-from repro.measure.substrates import cable_campaign
 from repro.net.router import Router
 from repro.topology.asrel import AsGraph
-from region_pipeline import REGION, RegionPipeline
 
 
 def _co_router(internet):
@@ -78,45 +75,6 @@ class TestBuilders:
         providers = graph.providers_of(comcast)
         assert len(providers) == 1
         assert graph.rel_of(providers[0], charter) == "p2c"
-
-
-#: Health fields only the supervisor fills in (zero for a serial run).
-_SUPERVISOR_HEALTH = ("shards_planned", "workers_spawned")
-
-
-def _comcast_campaign(route_model, workers=0):
-    """The bias fixture's substrate (seed 11, cable only), built fresh by
-    the recipe so the serial fleet is the one workers build, probing
-    :data:`REGION` from two VPs."""
-    internet, fleet, worker_spec = cable_campaign(
-        seed=11, route_model=route_model
-    )
-    assert internet.network.route_model.name == route_model
-    return RegionPipeline(
-        internet.network, internet.comcast, fleet, sweep_vps=2,
-        workers=workers, worker_spec=worker_spec,
-    ).run()
-
-
-class TestSupervisedParity:
-    @pytest.mark.parametrize("route_model", ["valley-free", "hot-potato"])
-    def test_workers_match_serial(self, route_model):
-        """A route model is part of the substrate recipe, so supervised
-        workers probe under it too: the regions are byte-identical."""
-        serial = _comcast_campaign(route_model)
-        supervised = _comcast_campaign(route_model, workers=2)
-        assert REGION in serial.regions
-        assert set(supervised.regions) == set(serial.regions)
-        for name in sorted(serial.regions):
-            assert region_to_json(supervised.regions[name]) == region_to_json(
-                serial.regions[name]
-            ), f"region {name} diverged under workers=2"
-        health = supervised.health.as_dict()
-        reference = serial.health.as_dict()
-        for field in _SUPERVISOR_HEALTH:
-            assert health.pop(field) > 0
-            reference.pop(field)
-        assert health == reference
 
 
 class TestValleyFree:
@@ -183,20 +141,6 @@ class TestHotPotato:
         second = hp_model.forwarding_path(network, src, dst, flow_id=2)
         assert first is not None
         assert [r.uid for r in first] == [r.uid for r in second]
-
-    def test_campaign_regions_are_pinned(self):
-        """The region artifacts of a small hot-potato campaign, pinned as
-        the per-flow intra-AS engine produced them."""
-        result = _comcast_campaign("hot-potato")
-        digest = hashlib.sha256()
-        for name in sorted(result.regions):
-            digest.update(region_to_json(result.regions[name]).encode())
-        assert sorted(result.regions) == [
-            "albuquerque", "connecticut", "memphis", "saltlake", "sanfrancisco",
-        ]
-        assert digest.hexdigest() == (
-            "c60c7f390ab890391608a0659dad1eaacceaa55c68db819cc28e21ff21a08c8d"
-        )
 
 
 # ----------------------------------------------------------------------

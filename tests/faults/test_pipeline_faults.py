@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import CampaignInterrupted
 from repro.faults import FaultPlan
 from repro.io.export import campaign_health_to_json, region_to_json
 from region_pipeline import REGION, RegionPipeline
@@ -68,31 +67,6 @@ class TestFaultyCampaignCompletes:
 
 
 class TestCheckpointResume:
-    PLAN = FaultPlan(seed=5, probe_loss=0.05, vp_dropout=1,
-                     vp_dropout_after=400)
-
-    def test_resumed_run_matches_uninterrupted(self, small_world, tmp_path):
-        internet, fleet = small_world
-        reference = _pipeline(
-            internet, fleet, attempts=2, faults=self.PLAN
-        ).run()
-        assert _region_json(reference) is not None
-
-        path = tmp_path / "campaign.json"
-        with pytest.raises(CampaignInterrupted):
-            _pipeline(
-                internet, fleet, attempts=2, faults=self.PLAN,
-                checkpoint_path=path, stop_after=150,
-            ).run()
-        assert path.exists()
-
-        resumed = _pipeline(
-            internet, fleet, attempts=2, faults=self.PLAN,
-            checkpoint_path=path, resume=True,
-        ).run()
-        assert resumed.health.resumed is True
-        assert _region_json(resumed) == _region_json(reference)
-
     def test_resume_without_checkpoint_starts_fresh(self, small_world, tmp_path):
         internet, fleet = small_world
         result = _pipeline(

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.errors import CheckpointError, ServiceError
 from repro.io.checkpoint import CampaignCheckpoint
+from repro.service.executor import JobExecutor
 from repro.service.spec import JobSpec
 from repro.service.store import JobStore
 
@@ -91,6 +92,58 @@ class TestCheckpointFuzz:
     def test_direct_load_of_missing_checkpoint_is_clean(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             CampaignCheckpoint.load(tmp_path / "absent.ckpt")
+
+
+class TestJobCheckpointDiscard:
+    """A corrupt job checkpoint costs one attempt, not the job: the
+    executor discards it and the retry starts the campaign over."""
+
+    def _corrupt(self, executor, job_id):
+        path = executor.jobs_dir / job_id / "checkpoint.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(CHECKPOINT_VARIANTS["corrupt-middle-record"])
+        return path
+
+    def test_toy_job(self, tmp_path):
+        executor = JobExecutor(tmp_path / "jobs")
+        spec = JobSpec(pipeline="toy", seed=1, targets=4, hosts=2)
+        path = self._corrupt(executor, "toy")
+        with pytest.raises(ServiceError, match="corrupt and has been discarded"):
+            executor.execute("toy", spec, "full", attempt=1)
+        assert not path.exists()
+        result = executor.execute("toy", spec, "full", attempt=2)
+        assert "corpus.json" in result.artifacts
+        assert path.exists()
+
+    def test_cable_job_loads_its_checkpoint_once(self, tmp_path, monkeypatch):
+        from repro.infer.pipeline import CableInferencePipeline
+
+        # A few targets per sweep keep the campaign small.
+        for name in ("slash24_targets", "rdns_targets"):
+            full = getattr(CableInferencePipeline, name)
+            monkeypatch.setattr(CableInferencePipeline, name,
+                                lambda self, full=full: full(self)[:8])
+        executor = JobExecutor(tmp_path / "jobs")
+        spec = JobSpec(pipeline="map-cable", seed=0, isp="charter",
+                       sweep_vps=2)
+        path = self._corrupt(executor, "cable")
+        with pytest.raises(ServiceError, match="corrupt and has been discarded"):
+            executor.execute("cable", spec, "full", attempt=1)
+        assert not path.exists()
+        fresh = executor.execute("cable", spec, "full", attempt=2)
+        assert path.exists()
+
+        loads = []
+        load = CampaignCheckpoint.load.__func__
+        monkeypatch.setattr(CampaignCheckpoint, "load", classmethod(
+            lambda cls, where: loads.append(where) or load(cls, where)
+        ))
+        resumed = executor.execute("cable", spec, "full", attempt=3)
+        assert loads == [path]
+        fresh.artifacts.pop("health.json")
+        resumed.artifacts.pop("health.json")
+        assert resumed.artifacts == fresh.artifacts
+        assert any(name.startswith("charter-") for name in fresh.artifacts)
 
 
 class TestJournalFuzz:

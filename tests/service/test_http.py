@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.obs import sha256_bytes
 from repro.service import (
     CampaignService,
@@ -274,6 +275,50 @@ class TestDiff:
         )
         assert status == 400
         assert b"no corpus artifact" in body
+
+
+#: Decodable ``corpus.json`` payloads that are not trace lists, and the
+#: JSON path each one fails at.
+_BAD_CORPORA = {
+    "missing-src": ([{"dst": "198.18.5.1", "hops": []}], "$[0].src"),
+    "not-an-object": ([3], "$[0]"),
+    "hop-without-addr": (
+        [{"src": "10.0.0.1", "dst": "198.18.5.1", "hops": [{"i": 1}]}],
+        "$[0].hops[0].addr",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(_BAD_CORPORA))
+def bad_corpus(plane, request):
+    """The base job's ``corpus.json`` replaced by one bad payload."""
+    payload, where = _BAD_CORPORA[request.param]
+    path = plane.state_dir / "jobs" / plane.base / "corpus.json"
+    original = path.read_bytes()
+    path.write_text(json.dumps(payload))
+    yield where
+    path.write_bytes(original)
+
+
+class TestCorruptJsonCorpus:
+    def test_load_raises_a_service_error(self, plane, bad_corpus):
+        store = JobStore.open(plane.state_dir, readonly=True)
+        with pytest.raises(ServiceError, match="corrupt corpus artifact") as info:
+            load_job_corpus(store.job_dir(plane.base), store.jobs[plane.base])
+        assert f"{bad_corpus}:" in str(info.value)
+
+    def test_diff_is_502_naming_the_entry(self, plane, bad_corpus):
+        server = ServiceHTTPServer(plane.state_dir, port=0).start()
+        try:
+            status, body = _http_get(
+                server.port, f"/jobs/{plane.base}/diff/{plane.other}"
+            )
+        finally:
+            server.stop()
+        assert status == 502
+        assert body.startswith(b"error: corrupt corpus artifact")
+        assert f"{bad_corpus}:".encode() in body
+        assert body.decode().count("\n") == 1
 
 
 class TestEventsOverHTTP:

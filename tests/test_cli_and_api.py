@@ -1,11 +1,17 @@
 """Tests for the CLI and the package's public API surface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.validate.schema import parse_artifact
 
 
 class TestPublicApi:
@@ -134,7 +140,7 @@ class TestCorpusExport:
     @pytest.mark.parametrize("corpus_format", ["binary", "json"])
     def test_each_corpus_is_lifted_once(self, tmp_path, monkeypatch, corpus_format):
         """A binary campaign exports the corpora its inference already
-        lifted; a JSON campaign lifts them only for the export."""
+        lifted; a JSON campaign writes its traces without lifting."""
         from repro.corpus import TraceCorpus, load_corpus
         from repro.infer.pipeline import CableInferencePipeline
 
@@ -148,11 +154,34 @@ class TestCorpusExport:
         out = tmp_path / "corpus.out"
         assert main(["map-cable", "charter", "--sweep-vps", "1", "--corpus-format", corpus_format,
                      "--corpus-out", str(out)]) == 0
-        assert len(lifted) == 2
         paths = (out, tmp_path / "corpus.followup.out")
         if corpus_format == "binary":
+            assert len(lifted) == 2
             assert [len(load_corpus(path)) for path in paths] == lifted
-        assert all(path.exists() for path in paths)
+        else:
+            assert lifted == []
+            for path in paths:
+                parse_artifact(path.read_text(), kind="trace-corpus")
+
+    def test_json_export_does_not_import_numpy(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from repro.cli import main
+            from repro.infer.pipeline import CableInferencePipeline
+
+            for name in ("slash24_targets", "rdns_targets"):
+                full = getattr(CableInferencePipeline, name)
+                setattr(CableInferencePipeline, name, lambda self, full=full: full(self)[:8])
+            assert main(["map-cable", "charter", "--sweep-vps", "1", "--corpus-out", sys.argv[1]]) == 0
+            print("numpy" in sys.modules)
+        """)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = tmp_path / "corpus.json"
+        run = subprocess.run([sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
+        assert out.exists()
 
 
 class TestCorruptCheckpointResume:
