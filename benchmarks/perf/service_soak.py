@@ -231,8 +231,9 @@ def main() -> int:
             "elapsed_s": round(time.monotonic() - started, 1),
             "failures": failures,
         })
-        for name in ("service-metrics.json", "service-trace.json",
-                     "snapshot.json"):
+        # The soak's executors run under the default id, "executor".
+        for name in ("service-metrics-executor.json",
+                     "service-trace-executor.json", "snapshot.json"):
             source = state / name
             if source.exists():
                 shutil.copy(source, artifacts_dir / name)

@@ -121,11 +121,7 @@ class CampaignCheckpoint:
     load wholesale on resume) or partial (its done-set is skipped and
     the remaining jobs re-run).
 
-    In memory the checkpoint holds every stage's traces and done keys,
-    and the shards parked by the run it was loaded from.  Shards this
-    run records are only queued for the next save: the supervisor has
-    already consumed them, and keeping them would hold a second copy
-    of the stage.
+    In memory the checkpoint holds every stage's traces and done keys.
     """
 
     def __init__(self, path: "str | pathlib.Path") -> None:
@@ -135,12 +131,6 @@ class CampaignCheckpoint:
         #: of the last record.
         self.health: "dict[str, object]" = {}
         self.injector_state: "dict[str, object]" = {}
-        #: Per stage, the checked record lines that parked its shards;
-        #: dropped when it completes.  Kept as text until asked for: a
-        #: stage's parked rows parse to several times their size.
-        self._shards: "dict[str, list[bytes]]" = {}
-        #: Shard payloads recorded since the last save.
-        self._new_shards: "dict[str, dict[str, dict]]" = {}
         #: Byte length of the file's valid prefix; None until this
         #: object has loaded or written the file.
         self._size: "int | None" = None
@@ -178,7 +168,7 @@ class CampaignCheckpoint:
                 records = read_log(body, _parse_record, what="record")
                 for number, (end, record) in enumerate(records, start=1):
                     check(record, CHECKPOINT_RECORD, f"record {number}: $")
-                    checkpoint._fold(record, body[valid:end])
+                    checkpoint._fold(record)
                     valid = end
         except (ValueError, SchemaError) as exc:
             raise CheckpointError(
@@ -187,17 +177,13 @@ class CampaignCheckpoint:
         checkpoint._size = len(head) + valid
         return checkpoint
 
-    def _fold(self, record: dict, line: bytes) -> None:
-        for name in record["shards"]:
-            self._shards.setdefault(name, []).append(line)
+    def _fold(self, record: dict) -> None:
         for name, delta in record["stages"].items():
             stage = self._stages.setdefault(name, _Stage())
             stage.traces.extend(map(trace_from_row, delta["traces"]))
             stage.done.extend(map(tuple, delta["done"]))
             stage.complete = delta["complete"]
             stage.saved = stage.state()
-            if stage.complete:
-                self._shards.pop(name, None)
         self.health = record["health"]
         self.injector_state = record["injector"]
 
@@ -218,7 +204,6 @@ class CampaignCheckpoint:
         }
         record = {
             "stages": stages,
-            "shards": self._new_shards,
             "health": self.health,
             "injector": self.injector_state,
         }
@@ -237,7 +222,6 @@ class CampaignCheckpoint:
         self._size += len(line)
         for stage in self._stages.values():
             stage.saved = stage.state()
-        self._new_shards = {}
 
     # ------------------------------------------------------------------
     def record_stage(
@@ -247,17 +231,11 @@ class CampaignCheckpoint:
         done: "list[tuple[str, str]]",
         complete: bool,
     ) -> None:
-        """Add a stage's new traces and done job keys for :meth:`save`.
-
-        Completing a stage drops its parked shards: its traces are now
-        canonical.
-        """
+        """Add a stage's new traces and done job keys for :meth:`save`."""
         stage = self._stages.setdefault(name, _Stage())
         stage.traces.extend(traces)
         stage.done.extend(done)
         stage.complete = complete
-        if complete:
-            self._shards.pop(name, None)
 
     def stage_traces(self, name: str) -> "list[TraceResult]":
         return list(self._stages.get(name, _Stage()).traces)
@@ -267,18 +245,3 @@ class CampaignCheckpoint:
 
     def stage_complete(self, name: str) -> bool:
         return self._stages.get(name, _Stage()).complete
-
-    # ------------------------------------------------------------------
-    # Supervised-executor shard results
-    # ------------------------------------------------------------------
-    def record_shard(self, stage: str, shard_id: str,
-                     payload: "dict[str, object]") -> None:
-        """Queue one completed shard's raw results for the next save."""
-        self._new_shards.setdefault(stage, {})[shard_id] = payload
-
-    def shard_results(self, stage: str) -> "dict[str, dict]":
-        """Shard payloads parked for *stage* by an earlier run, by shard id."""
-        results = {}
-        for line in self._shards.get(stage, ()):
-            results.update(json.loads(line)["shards"][stage])
-        return results

@@ -60,6 +60,8 @@ class CampaignHealth:
     #: runners).  ``shards_poisoned`` shards exhausted their retries
     #: and were quarantined; their jobs show up in ``targets_skipped``.
     shards_planned: int = 0
+    #: Always 0: checkpoints no longer park shard results to reuse.
+    #: Kept because the pinned benchmark health artifacts carry it.
     shards_reused: int = 0
     shards_retried: int = 0
     shards_poisoned: int = 0
@@ -270,9 +272,10 @@ class CampaignRunner:
     def _job_blocked(self, job_key: "tuple[str, str]") -> bool:
         """Whether *job_key* must be skipped outright (quarantined work).
 
-        The serial runner blocks nothing; the supervised runner returns
-        True for jobs belonging to a poisoned shard, which the stage
-        loop then counts as skipped-and-degraded coverage loss.
+        The serial runner blocks nothing; the supervised runner first
+        waits for the job's shard to settle, then returns True for jobs
+        belonging to a poisoned shard, which the stage loop then counts
+        as skipped-and-degraded coverage loss.
         """
         return False
 
@@ -335,6 +338,15 @@ class CampaignRunner:
                 span.attributes["skipped"] = self.health.targets_skipped
                 return traces
 
+    def _interrupt(self, stage: str, traces, done, reason: str):
+        """Save the stage's unsaved progress; the CampaignInterrupted to raise."""
+        self._sync_health()
+        self.health.interrupted = True
+        self._save_checkpoint(stage, traces, done, complete=False)
+        return CampaignInterrupted(
+            f"{reason} (checkpoint: {getattr(self.checkpoint, 'path', None)})"
+        )
+
     def _run_stage(
         self,
         jobs: "list[tuple[VantagePoint, str]]",
@@ -353,53 +365,73 @@ class CampaignRunner:
         saved = len(traces)
         fresh: "list[tuple[str, str]]" = []
         since_save = 0
-        for vp, target in jobs:
-            job_key = (vp.name, target)
-            if job_key in done:
-                continue
-            if self.stop_after is not None and self._executed >= self.stop_after:
-                self._sync_health()
-                self.health.interrupted = True
-                self._save_checkpoint(stage, traces[saved:], fresh, complete=False)
-                raise CampaignInterrupted(
-                    f"campaign stopped after {self._executed} jobs "
-                    f"(checkpoint: {getattr(self.checkpoint, 'path', None)})"
-                )
-            done.add(job_key)
-            fresh.append(job_key)
-            if self._job_blocked(job_key):
-                self.health.targets_skipped += 1
-                self.health.degraded = True
-                continue
-            executor = vp
-            if not self.fleet.is_alive(vp.name):
-                executor = self.fleet.stand_in(job_key) if self.failover else None
-                if executor is not None:
-                    self.health.targets_reassigned += 1
-            if executor is None or self.fleet.alive_count() < self.min_vps:
-                self.health.targets_skipped += 1
-                self.health.degraded = True
-                continue
-            trace = self._execute_job(executor, job_key, flow_id)
-            if trace is None and self.failover:
-                # The assigned VP flapped through every attempt; one
-                # deterministic stand-in gets a chance before we skip.
-                stand_in = self.fleet.stand_in((*job_key, "flap"))
-                if stand_in is not None and stand_in.name != executor.name:
-                    self.health.targets_reassigned += 1
-                    trace = self._execute_job(stand_in, job_key, flow_id)
-            if trace is None:
-                self.health.targets_skipped += 1
-            elif trace.hops or keep_empty:
-                traces.append(trace)
-            else:
-                self.health.empty_traces += 1
-            self._executed += 1
-            since_save += 1
-            if since_save >= self.checkpoint_every:
-                self._sync_health()
-                self._save_checkpoint(stage, traces[saved:], fresh, complete=False)
-                saved, fresh, since_save = len(traces), [], 0
+        try:
+            for vp, target in jobs:
+                job_key = (vp.name, target)
+                if job_key in done:
+                    continue
+                if self.stop_after is not None and self._executed >= self.stop_after:
+                    raise self._interrupt(
+                        stage, traces[saved:], fresh,
+                        f"campaign stopped after {self._executed} jobs",
+                    )
+                ran, trace = self._run_job(vp, job_key, flow_id)
+                # Only a finished job is done: one an interrupt cuts
+                # short re-runs on resume.
+                done.add(job_key)
+                fresh.append(job_key)
+                if not ran:
+                    continue
+                if trace is None:
+                    self.health.targets_skipped += 1
+                elif trace.hops or keep_empty:
+                    traces.append(trace)
+                else:
+                    self.health.empty_traces += 1
+                self._executed += 1
+                since_save += 1
+                if since_save >= self.checkpoint_every:
+                    self._sync_health()
+                    # Handed over before the save, so an interrupt that
+                    # lands inside it cannot record them twice.
+                    unsaved = traces[saved:], fresh
+                    saved, fresh, since_save = len(traces), [], 0
+                    self._save_checkpoint(stage, *unsaved, complete=False)
+        except KeyboardInterrupt:
+            # Ctrl-C (or SIGTERM under the supervisor): keep every
+            # finished job, as stop_after does.
+            raise self._interrupt(
+                stage, traces[saved:], fresh, "campaign interrupted"
+            ) from None
         self._sync_health()
         self._save_checkpoint(stage, traces[saved:], fresh, complete=True)
         return traces
+
+    def _run_job(self, vp: VantagePoint, job_key, flow_id: int):
+        """One job with failover: ``(ran, trace)``.
+
+        ``ran`` is False for a job skipped before probing (quarantined,
+        or no VP left to run it); ``trace`` is None when it was skipped.
+        """
+        if self._job_blocked(job_key):
+            self.health.targets_skipped += 1
+            self.health.degraded = True
+            return False, None
+        executor = vp
+        if not self.fleet.is_alive(vp.name):
+            executor = self.fleet.stand_in(job_key) if self.failover else None
+            if executor is not None:
+                self.health.targets_reassigned += 1
+        if executor is None or self.fleet.alive_count() < self.min_vps:
+            self.health.targets_skipped += 1
+            self.health.degraded = True
+            return False, None
+        trace = self._execute_job(executor, job_key, flow_id)
+        if trace is None and self.failover:
+            # The assigned VP flapped through every attempt; one
+            # deterministic stand-in gets a chance before we skip.
+            stand_in = self.fleet.stand_in((*job_key, "flap"))
+            if stand_in is not None and stand_in.name != executor.name:
+                self.health.targets_reassigned += 1
+                trace = self._execute_job(stand_in, job_key, flow_id)
+        return True, trace

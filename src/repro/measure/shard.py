@@ -7,12 +7,11 @@ run out.  Partitioning is a pure function of the job list: contiguous
 chunks in job order, each with a **stable, content-addressed id**
 (``<stage>/<index>-<digest>``), so
 
-* a resumed campaign re-plans the identical shards and can reuse every
-  shard result already persisted in the checkpoint (the digest guards
-  against a done-set that shifted the partition);
-* merging is trivially deterministic: concatenating shard results in
-  shard-index order reproduces the original job order, which is what
-  keeps the serial runner the byte-identical digest oracle.
+* the chaos plan's per-shard draws (crash, stall, retry jitter), which
+  are keyed on the id, replay identically in every run of the stage;
+* the replay, which walks the jobs in order, meets the shards in
+  index order, and waits on a shard only when it reaches one of its
+  jobs.
 """
 
 from __future__ import annotations
@@ -43,25 +42,6 @@ class Shard:
     #: ``(vp_name, target)`` pairs, in original job order.
     jobs: "tuple[tuple[str, str], ...]"
     flow_id: int = 0
-
-    def as_dict(self) -> "dict[str, object]":
-        return {
-            "shard_id": self.shard_id,
-            "stage": self.stage,
-            "index": self.index,
-            "jobs": [list(job) for job in self.jobs],
-            "flow_id": self.flow_id,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "dict[str, object]") -> "Shard":
-        return cls(
-            shard_id=payload["shard_id"],
-            stage=payload["stage"],
-            index=int(payload["index"]),
-            jobs=tuple((vp, target) for vp, target in payload["jobs"]),
-            flow_id=int(payload.get("flow_id", 0)),
-        )
 
 
 def shard_size_for(job_count: int, workers: int) -> int:
@@ -98,25 +78,3 @@ def plan_shards(
                   flow_id=flow_id)
         )
     return shards
-
-
-def merge_shard_results(
-    shards: "list[Shard]", results_by_id: "dict[str, list]"
-) -> "list":
-    """Flatten per-shard result lists back into original job order.
-
-    Missing shards (poisoned, never completed) contribute nothing;
-    a present shard must carry exactly one result per job.
-    """
-    merged: "list" = []
-    for shard in sorted(shards, key=lambda s: s.index):
-        results = results_by_id.get(shard.shard_id)
-        if results is None:
-            continue
-        if len(results) != len(shard.jobs):
-            raise ValueError(
-                f"shard {shard.shard_id}: {len(results)} results for "
-                f"{len(shard.jobs)} jobs"
-            )
-        merged.extend(results)
-    return merged

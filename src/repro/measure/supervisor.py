@@ -1,9 +1,9 @@
 """Supervised process-sharded campaign execution.
 
-:class:`SupervisedCampaignRunner` runs a campaign stage in two passes,
-speculate then replay — which is what preserves the
-byte-identical-to-serial corpus guarantee — with speculation in
-**spawned worker processes** managed by a supervisor loop:
+:class:`SupervisedCampaignRunner` speculates a campaign stage in
+**spawned worker processes** while the inherited serial loop replays
+it, which is what preserves the byte-identical-to-serial corpus
+guarantee:
 
 1. **Shard** — the stage's pending jobs are partitioned by
    :func:`repro.measure.shard.plan_shards` into contiguous,
@@ -20,14 +20,15 @@ byte-identical-to-serial corpus guarantee — with speculation in
    shards with exponential backoff on a fresh worker, and — after a
    shard exhausts ``max_shard_retries`` — poisons it: its jobs are
    quarantined, skipped, and reported as degraded coverage.
-3. **Replay** — the inherited serial loop runs unchanged; its
-   ``_run_trace`` seam consumes the speculative traces and applies
-   their deltas, so checkpoints, health accounting, VP-death
-   thresholds, and the final corpus match a serial run byte for byte.
-   VP death and the failover it causes depend on cross-VP ordering,
-   so they are resolved entirely here: a job reassigned to a stand-in
-   finds no speculative entry under the stand-in's key and probes
-   synchronously on the canonical substrate.
+3. **Replay** — the serial stage loop drives the pool as a pump: on
+   reaching a job whose shard has not settled it pumps until the shard
+   is done or poisoned, then its ``_run_trace`` seam consumes the
+   speculative trace and applies its deltas, so checkpoints, health
+   accounting, VP-death thresholds, and the final corpus match a
+   serial run byte for byte.  VP death and the failover it causes
+   depend on cross-VP ordering, so they are resolved entirely here: a
+   job reassigned to a stand-in finds no speculative entry under the
+   stand-in's key and probes synchronously on the canonical substrate.
 
 Worker-level chaos (``worker_crash`` / ``worker_stall`` /
 ``worker_slow`` in the :class:`~repro.faults.plan.FaultPlan`) is drawn
@@ -35,13 +36,15 @@ inside the worker, keyed on ``(shard_id, attempt)`` — never on the
 probe path — so a seeded chaos run is exactly reproducible and the
 serial oracle's corpus is untouched by it.
 
-Completed shards are persisted into the campaign checkpoint as they
-finish, so a supervisor SIGKILLed mid-stage resumes from completed
-shards only (content-addressed ids guard against partition drift).
+The checkpoint holds only the replay's stage rows, so each trace is
+written once.  A supervisor SIGKILLed mid-stage resumes from the
+replay's last save, which trails the finished shards by at most
+``checkpoint_every`` jobs plus the shards that finished out of order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -49,7 +52,7 @@ import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.errors import CampaignInterrupted, MeasurementError
+from repro.errors import MeasurementError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.measure.runner import CampaignRunner
@@ -304,19 +307,28 @@ class SupervisedCampaignRunner(CampaignRunner):
         )
         #: Job keys belonging to poisoned shards — blocked during replay.
         self._poisoned: "set[tuple[str, str]]" = set()
+        #: Job keys whose shard has not settled yet: the replay pumps
+        #: the pool (``_pool``, the running stage's :meth:`_run_pool`)
+        #: before it runs one.
+        self._unsettled: "set[tuple[str, str]]" = set()
+        self._pool = None
 
     # ------------------------------------------------------------------
     # Replay seams
     # ------------------------------------------------------------------
     def _job_blocked(self, job_key: "tuple[str, str]") -> bool:
+        # The replay waits here for the job's shard: pump the pool
+        # until it settles (done or poisoned).
+        while job_key in self._unsettled:
+            next(self._pool)
         return job_key in self._poisoned
 
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         speculative = self._speculative.pop((vp.name, target, flow_id), None)
         if speculative is None:
-            # Cache miss: a failover stand-in, or a job speculation
-            # skipped.  Runs synchronously on the canonical substrate,
-            # exactly as the serial runner would.
+            # Cache miss: a failover stand-in, or a job in no shard.
+            # Runs synchronously on the canonical substrate, exactly as
+            # the serial runner would.
             return super()._run_trace(vp, target, flow_id)
         tracer = self.tracer
         delta = speculative.tracer_delta
@@ -336,73 +348,41 @@ class SupervisedCampaignRunner(CampaignRunner):
         return speculative.trace
 
     def run(self, jobs, stage="campaign", flow_id=0, keep_empty=False):
-        # Ingesting the pool's traces builds the stage's corpus, as the
-        # serial runner's stage does: both run with the collector paused.
-        with gc_paused():
-            self._precompute(jobs, stage, flow_id)
-        try:
+        shards = self._plan(jobs, stage, flow_id)
+        if not shards:
             return super().run(
                 jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
             )
-        finally:
-            # Unconsumed entries (jobs that failed over, or a stage cut
-            # short by stop_after) must not leak into later stages.
-            self._speculative.clear()
-            self._poisoned.clear()
-
-    # ------------------------------------------------------------------
-    # Speculation: shard + supervise
-    # ------------------------------------------------------------------
-    def _precompute(self, jobs, stage: str, flow_id: int) -> None:
-        checkpoint = self.checkpoint
-        if checkpoint is not None and checkpoint.stage_complete(stage):
-            return
-        done = checkpoint.stage_done(stage) if checkpoint is not None else set()
-        pending = [
-            (vp, target) for vp, target in jobs if (vp.name, target) not in done
-        ]
-        if self.stop_after is not None:
-            budget = max(0, self.stop_after - self._executed)
-            pending = pending[:budget]
-        job_pairs: "list[tuple[str, str]]" = []
-        for vp, target in pending:
-            # Jobs on already-dead VPs fail over during replay; their
-            # stand-ins run synchronously on the canonical tracer.
-            if not self.fleet.is_alive(vp.name):
-                continue
-            job_pairs.append((vp.name, target))
-        if not job_pairs:
-            return
-        shards = plan_shards(
-            job_pairs, stage, flow_id=flow_id, shard_size=self.shard_size,
-            workers=self.workers,
-        )
         self.health.shards_planned += len(shards)
-        stored = checkpoint.shard_results(stage) if checkpoint is not None else {}
-        pending_shards: "list[Shard]" = []
-        for shard in shards:
-            payload = stored.get(shard.shard_id)
-            if payload is not None:
-                self._ingest(shard, payload["results"])
-                self.health.shards_reused += 1
-            else:
-                pending_shards.append(shard)
         attempts: "dict[str, int]" = {}
-        outcomes: "dict[str, str]" = {
-            shard.shard_id: "reused"
-            for shard in shards if shard not in pending_shards
-        }
-        if pending_shards:
-            if self.obs is not None:
-                with self.obs.span(
-                    f"supervise:{stage}",
-                    shards=len(pending_shards), workers=self.workers,
-                ) as span:
-                    self._run_pool(pending_shards, stage, attempts, outcomes)
+        outcomes: "dict[str, str]" = {}
+        for shard in shards:
+            self._unsettled.update(shard.jobs)
+        self._pool = self._run_pool(shards, attempts, outcomes)
+        supervise = contextlib.nullcontext() if self.obs is None else self.obs.span(
+            f"supervise:{stage}", shards=len(shards), workers=self.workers,
+        )
+        try:
+            with supervise as span:
+                # The stage pumps the pool, with the collector paused.
+                traces = super().run(
+                    jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
+                )
+                # Every shard has settled; this runs the pool's epilogue.
+                for _ in self._pool:
+                    pass
+                if span is not None:
                     span.attributes["retried"] = self.health.shards_retried
                     span.attributes["poisoned"] = self.health.shards_poisoned
-            else:
-                self._run_pool(pending_shards, stage, attempts, outcomes)
+        finally:
+            # A stage that raised leaves the pool open: closing it
+            # kills the workers.  Unconsumed entries (jobs that failed
+            # over) must not leak into later stages.
+            self._pool.close()
+            self._pool = None
+            self._unsettled.clear()
+            self._speculative.clear()
+            self._poisoned.clear()
         if self.obs is not None:
             # Per-shard spans are created *after* the pool completes, in
             # shard-id order: completion order is scheduling-dependent,
@@ -417,14 +397,41 @@ class SupervisedCampaignRunner(CampaignRunner):
                     pass
         if self.metrics is not None:
             self.metrics.set_gauge("supervisor.workers", self.workers)
-            self.metrics.inc("supervisor.shards_run", len(pending_shards))
+            self.metrics.inc("supervisor.shards_run", len(shards))
             self.metrics.inc(
                 "supervisor.speculated_jobs",
                 sum(
                     len(s.jobs) for s in shards
-                    if outcomes.get(s.shard_id) in ("done", "reused")
+                    if outcomes.get(s.shard_id) == "done"
                 ),
             )
+        return traces
+
+    # ------------------------------------------------------------------
+    # Speculation: shard + supervise
+    # ------------------------------------------------------------------
+    def _plan(self, jobs, stage: str, flow_id: int) -> "list[Shard]":
+        """The shards of the stage's jobs that the replay will run."""
+        checkpoint = self.checkpoint
+        if checkpoint is not None and checkpoint.stage_complete(stage):
+            return []
+        done = checkpoint.stage_done(stage) if checkpoint is not None else set()
+        pending = [
+            (vp, target) for vp, target in jobs if (vp.name, target) not in done
+        ]
+        if self.stop_after is not None:
+            budget = max(0, self.stop_after - self._executed)
+            pending = pending[:budget]
+        # Jobs on already-dead VPs fail over during replay; their
+        # stand-ins run synchronously on the canonical tracer.
+        job_pairs = [
+            (vp.name, target) for vp, target in pending
+            if self.fleet.is_alive(vp.name)
+        ]
+        return plan_shards(
+            job_pairs, stage, flow_id=flow_id, shard_size=self.shard_size,
+            workers=self.workers,
+        )
 
     def _ingest(self, shard: Shard, results) -> None:
         """Install one shard's worker results into the speculation table."""
@@ -435,6 +442,7 @@ class SupervisedCampaignRunner(CampaignRunner):
             self._speculative[(vp_name, target, shard.flow_id)] = _Speculative(
                 trace, tracer_delta, fault_delta
             )
+        self._unsettled.difference_update(shard.jobs)
         if self.metrics is not None:
             # Shard-merge corpus accounting: how much trace volume each
             # worker round-trip contributed to the assembled corpus.
@@ -457,7 +465,14 @@ class SupervisedCampaignRunner(CampaignRunner):
         self.health.workers_spawned += 1
         return _Worker(process, parent_conn, now)
 
-    def _run_pool(self, pending_shards, stage, attempts, outcomes) -> None:
+    def _run_pool(self, pending_shards, attempts, outcomes):
+        """The worker pool as a pump: a generator that yields whenever
+        a shard settles (done or poisoned).
+
+        Closing it early kills the workers.  Worker liveness is
+        measured only while it runs: the replay's time between pumps
+        is no worker's stall.
+        """
         ctx = multiprocessing.get_context("spawn")
         plan_payload = (
             self.injector.plan.as_dict() if self.injector is not None else None
@@ -475,7 +490,6 @@ class SupervisedCampaignRunner(CampaignRunner):
             (shard, 0.0) for shard in pending_shards
         ]
         finished = 0
-        since_save_jobs = 0
         workers: "list[_Worker]" = []
         #: Consecutive worker deaths before the ready handshake.  A
         #: substrate that cannot even build (bad WorkerSpec kwargs,
@@ -497,6 +511,7 @@ class SupervisedCampaignRunner(CampaignRunner):
             if made > self.max_shard_retries:
                 self.health.shards_poisoned += 1
                 self._poisoned.update(shard.jobs)
+                self._unsettled.difference_update(shard.jobs)
                 outcomes[shard.shard_id] = "poisoned"
                 self.quarantine.add(
                     stage="supervisor",
@@ -544,8 +559,8 @@ class SupervisedCampaignRunner(CampaignRunner):
                     attempts[shard.shard_id] -= 1
                     queue.append((shard, now))
 
-        #: SIGTERM behaves like Ctrl-C while the pool runs: terminate
-        #: workers, flush the checkpoint, exit cleanly.  Installed only
+        #: SIGTERM behaves like Ctrl-C while the pool runs: the stage
+        #: saves what it finished and the workers die.  Installed only
         #: when nothing else claimed the signal (the campaign service
         #: installs its own drain handler) and only on the main thread
         #: (signal.signal raises elsewhere).
@@ -561,6 +576,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                 signal.signal(signal.SIGTERM, _sigterm)
         try:
             while finished < len(pending_shards):
+                settled = finished
                 now = time.monotonic()
                 outstanding = len(pending_shards) - finished
                 target = min(self.workers, outstanding)
@@ -650,14 +666,6 @@ class SupervisedCampaignRunner(CampaignRunner):
                             self.health.workers_slow += 1
                             if self.injector is not None:
                                 self.injector.stats.worker_slowdowns += 1
-                        if self.checkpoint is not None:
-                            self.checkpoint.record_shard(
-                                stage, shard_id, {"results": results}
-                            )
-                            since_save_jobs += len(shard.jobs)
-                            if since_save_jobs >= self.checkpoint_every:
-                                self.checkpoint.save()
-                                since_save_jobs = 0
                     elif kind == "error":
                         _, shard_id, _, detail = message
                         worker.assigned = [
@@ -697,20 +705,15 @@ class SupervisedCampaignRunner(CampaignRunner):
                         if self.injector is not None:
                             self.injector.stats.worker_stalls += 1
                         recycle(worker, "shard deadline exceeded", now)
-            if self.checkpoint is not None and since_save_jobs:
-                self.checkpoint.save()
-        except KeyboardInterrupt:
-            # Graceful shutdown: the finally block below terminates the
-            # spawn-context workers (no leaked processes), completed
-            # shards stay parked in the checkpoint for the next resume,
-            # and the caller gets a clean CampaignInterrupted instead
-            # of a KeyboardInterrupt traceback.
-            self.health.interrupted = True
-            self._save_checkpoint(stage, [], [], complete=False)
-            raise CampaignInterrupted(
-                "supervised campaign interrupted (checkpoint: "
-                f"{getattr(self.checkpoint, 'path', None)})"
-            ) from None
+                if finished > settled:
+                    paused = time.monotonic()
+                    yield
+                    # Time away from the pump counts toward no deadline.
+                    away = time.monotonic() - paused
+                    for worker in workers:
+                        worker.spawned_at += away
+                        worker.started_at += away
+                        worker.last_heartbeat += away
         finally:
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)

@@ -41,8 +41,8 @@ loop over a crash-safe :class:`~repro.service.store.JobStore`:
 
 Every state transition publishes to the service's
 :class:`~repro.obs.metrics.MetricsRegistry` and span tree.  Each
-executor owns its registry, exported to ``service-metrics[-<id>].json``
-/ ``service-trace[-<id>].json`` in the state directory at every flush
+executor owns its registry, exported to ``service-metrics-<id>.json``
+/ ``service-trace-<id>.json`` in the state directory at every flush
 (``/metrics`` keys them by executor id).
 """
 
@@ -447,24 +447,18 @@ class CampaignService:
     def flush(self) -> None:
         """Compact the store and export observability snapshots.
 
-        Exports land under both the legacy shared names (kept for
-        single-executor tooling; last flusher wins) and per-executor
-        names, which the HTTP ``/metrics`` endpoint merges.
+        Exports land under per-executor names, which the HTTP
+        ``/metrics`` endpoint merges.
         """
         self._publish_gauges()
         self.store.compact()
-        metrics_text = self.metrics.to_json() + "\n"
-        trace_text = self.obs.to_json() + "\n"
-        atomic_write_text(self.state_dir / "service-metrics.json",
-                          metrics_text)
-        atomic_write_text(self.state_dir / "service-trace.json", trace_text)
         atomic_write_text(
             self.state_dir / f"service-metrics-{self.executor_id}.json",
-            metrics_text,
+            self.metrics.to_json() + "\n",
         )
         atomic_write_text(
             self.state_dir / f"service-trace-{self.executor_id}.json",
-            trace_text,
+            self.obs.to_json() + "\n",
         )
 
     def _drain_requested(self) -> bool:

@@ -29,7 +29,7 @@ ARTIFACT_VERSIONS = {
     "telco-region": 1,
     "mobile-carrier": 1,
     "campaign-health": 1,
-    "campaign-checkpoint": 2,
+    "campaign-checkpoint": 3,
     "quarantine-report": 1,
     "run-manifest": 1,
     "job-spec": 1,
@@ -323,12 +323,6 @@ _WIRE_TRACE = TupleOf(
                    (float, _NoneType), (int, _NoneType), int)),
 )
 
-#: One parked shard result row: VP name, target, trace row, the probe
-#: counter deltas and the fault-stat deltas (null without faults).
-_SHARD_RESULT = TupleOf(
-    str, str, _WIRE_TRACE, MapOf(float), (MapOf(int), _NoneType),
-)
-
 #: Line 1 of a checkpoint file; the records follow it.
 _CAMPAIGN_CHECKPOINT = {"schema": int, "kind": str}
 
@@ -339,7 +333,6 @@ CHECKPOINT_RECORD = {
         "done": ListOf(TupleOf(str, str)),
         "complete": bool,
     }),
-    "shards": MapOf(MapOf({"results": ListOf(_SHARD_RESULT)})),
     "health": MapOf(ANY),
     "injector": MapOf(ANY),
 }

@@ -162,6 +162,32 @@ class TestCheckpointResume:
         assert path.read_bytes().startswith(whole)
         assert CampaignCheckpoint.load(path).stage_complete("s")
 
+    def test_ctrl_c_saves_the_finished_jobs_only(self, fleet, tmp_path):
+        # Ctrl-C lands inside the seventh job's probe: the six before it
+        # are saved, it is not, and the resume converges.
+        net, _routers, vps = fleet
+        reference = [trace_to_dict(t) for t in self._uninterrupted(net, vps)]
+
+        class CtrlC(CampaignRunner):
+            def _run_trace(self, vp, target, flow_id):
+                if self._executed == 6:
+                    raise KeyboardInterrupt
+                return super()._run_trace(vp, target, flow_id)
+
+        path = tmp_path / "camp.json"
+        net.attach_faults(FaultInjector(self.PLAN))
+        runner = CtrlC(Tracerouter(net), vps, checkpoint=CampaignCheckpoint(path))
+        with pytest.raises(CampaignInterrupted, match="interrupted"):
+            runner.run(_jobs(vps), stage="s")
+        saved = CampaignCheckpoint.load(path)
+        assert saved.stage_done("s") == {(vp.name, t) for vp, t in _jobs(vps)[:6]}
+        assert saved.health["interrupted"] is True
+
+        net.attach_faults(FaultInjector(self.PLAN))
+        resumed = CampaignRunner.resumed(Tracerouter(net), vps, saved)
+        traces = resumed.run(_jobs(vps), stage="s")
+        assert [trace_to_dict(t) for t in traces] == reference
+
     def test_complete_stage_loads_wholesale(self, fleet, tmp_path):
         net, _routers, vps = fleet
         checkpoint = CampaignCheckpoint(tmp_path / "camp.json")

@@ -73,7 +73,7 @@ PINNED = {
 
 #: Health fields that differ by design: the supervisor's shard and
 #: worker bookkeeping, and the flag a resumed run sets.
-_BOOKKEEPING = ("shards_planned", "shards_reused", "workers_spawned", "resumed")
+_BOOKKEEPING = ("shards_planned", "workers_spawned", "resumed")
 
 #: Jobs between checkpoint saves: small enough that every stage saves
 #: partway through, so a cut can land inside a stage.

@@ -10,9 +10,9 @@ from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
 from repro.measure.substrates import WorkerSpec, toy_substrate
 from repro.measure.supervisor import SupervisedCampaignRunner
-from repro.measure.traceroute import Hop, TraceResult, trace_to_row
+from repro.measure.traceroute import Hop, TraceResult, trace_from_row, trace_to_row
 
-HEADER = {"kind": "campaign-checkpoint", "schema": 2}
+HEADER = {"kind": "campaign-checkpoint", "schema": 3}
 
 
 def _traces():
@@ -41,7 +41,11 @@ def _write(path, *records):
 
 
 def _record(**fields):
-    return {"stages": {}, "shards": {}, "health": {}, "injector": {}, **fields}
+    return {"stages": {}, "health": {}, "injector": {}, **fields}
+
+
+def _stage(*rows, done=(), complete=False):
+    return {"traces": list(rows), "done": list(done), "complete": complete}
 
 
 @pytest.fixture()
@@ -99,15 +103,6 @@ class TestRecordLog:
         assert header == HEADER
         assert list(record["stages"]) == ["rdns"]
 
-    def test_completing_a_stage_drops_its_parked_shards(self, tmp_path):
-        path = tmp_path / "c.json"
-        shards = {"s": {"s-0": {"results": []}}, "t": {"t-0": {"results": []}}}
-        done = {"traces": [], "done": [], "complete": True}
-        _write(path, _record(shards=shards), _record(stages={"s": done}))
-        loaded = CampaignCheckpoint.load(path)
-        assert loaded.shard_results("s") == {}
-        assert loaded.shard_results("t") == {"t-0": {"results": []}}
-
 
 class TestTornTail:
     @pytest.mark.parametrize("keep", [1, 10, -1], ids=["one-byte", "ten-bytes", "no-newline"])
@@ -135,9 +130,11 @@ class TestCorruption:
         (json.dumps({"schema": 1, "kind": "campaign-checkpoint",
                      "stages": {}, "health": {}, "injector": {}}),
          "unsupported campaign-checkpoint schema version 1"),
+        (json.dumps({**HEADER, "schema": 2}) + "\n" + json.dumps(_record()) + "\n",
+         "unsupported campaign-checkpoint schema version 2"),
         (json.dumps(_record()) + "\n", "header: $.kind"),
         (json.dumps(HEADER), "unterminated header"),
-    ], ids=["empty", "schema-1", "missing-header", "unterminated-header"])
+    ], ids=["empty", "schema-1", "schema-2", "missing-header", "unterminated-header"])
     def test_a_bad_header_fails_the_load(self, tmp_path, text, message):
         path = tmp_path / "c.json"
         path.write_text(text)
@@ -152,13 +149,63 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="record 1: "):
             CampaignCheckpoint.load(two_saves)
 
-    def test_a_truncated_shard_row_in_the_last_record_fails_the_load(self, tmp_path):
+    def test_a_truncated_trace_row_in_the_last_record_fails_the_load(self, tmp_path):
         path = tmp_path / "c.json"
-        row = ["vp0", "198.18.5.1", ["10.9.0.2", "198.18.5.1", False, 0, "vp0", []]]
-        _write(path, _record(shards={"s": {"s-0": {"results": [row]}}}))
+        row = ["10.9.0.2", "198.18.5.1", False, 0, "vp0"]
+        _write(path, _record(stages={"s": _stage(row)}))
         with pytest.raises(CheckpointError) as failure:
             CampaignCheckpoint.load(path)
-        assert "record 1: $.shards.s.s-0.results[0]: expected 5 items, got 3" in str(failure.value)
+        assert "record 1: $.stages.s.traces[0]: expected 6 items, got 5" in str(failure.value)
+
+
+def _trace_checkpoint(path):
+    """A checkpoint holding one stage record of two real trace rows."""
+    tracer, vps = toy_substrate(hosts=1)
+    vp = vps["vp0"]
+    traces = []
+    for target in ("198.18.5.1", "198.18.5.2"):
+        trace = tracer.trace(vp.host, target, src_address=vp.src_address)
+        trace.vp_name = vp.name
+        traces.append(trace)
+    checkpoint = CampaignCheckpoint(path)
+    checkpoint.record_stage("s", traces, [], False)
+    checkpoint.save()
+    header, record = path.read_text().splitlines()
+    return header, json.loads(record)
+
+
+#: A corruption of a stage's trace row, and the JSON path it is named by.
+_ROW_CORRUPTIONS = {
+    "hop truncated to 3 fields": (lambda row: row[5][0].__delitem__(slice(3, None)), "[5][0]"),
+    "hop with a 7th field": (lambda row: row[5][0].append(1), "[5][0]"),
+    "hop address not a string": (lambda row: row[5][0].__setitem__(1, 7), "[5][0][1]"),
+    "trace missing its hops": (lambda row: row.pop(), ""),
+    "completed not a bool": (lambda row: row.__setitem__(2, 1), "[2]"),
+}
+
+
+class TestStageTraceRows:
+    def test_real_rows_load_and_rebuild(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        _header, record = _trace_checkpoint(path)
+        traces = CampaignCheckpoint.load(path).stage_traces("s")
+        rows = json.loads(json.dumps([trace_to_row(t) for t in traces]))
+        assert rows == record["stages"]["s"]["traces"]
+        for wire in rows:
+            assert trace_to_row(trace_from_row(wire)) == tuple(
+                [*wire[:5], [tuple(hop) for hop in wire[5]]]
+            )
+
+    @pytest.mark.parametrize("corruption", sorted(_ROW_CORRUPTIONS))
+    def test_a_malformed_row_fails_the_load(self, tmp_path, corruption):
+        path = tmp_path / "ckpt.json"
+        header, record = _trace_checkpoint(path)
+        corrupt, where = _ROW_CORRUPTIONS[corruption]
+        corrupt(record["stages"]["s"]["traces"][1])
+        path.write_text(f"{header}\n{json.dumps(record)}\n")
+        with pytest.raises(CheckpointError, match="corrupt checkpoint") as failure:
+            CampaignCheckpoint.load(path)
+        assert f"$.stages.s.traces[1]{where}" in str(failure.value)
 
 
 SPEC = WorkerSpec("repro.measure.substrates:toy_substrate", {"hosts": 3})
@@ -180,6 +227,8 @@ class _Watched(CampaignCheckpoint):
 class TestSavesOnlyAppend:
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "supervised"])
     def test_every_trace_row_is_written_once(self, tmp_path, workers):
+        # Supervised or not, the file holds the replay's stage rows and
+        # nothing else: each trace is in it exactly once.
         path = tmp_path / "c.json"
         checkpoint = _Watched(path)
         tracer, vps = toy_substrate(hosts=3)
@@ -203,12 +252,7 @@ class TestSavesOnlyAppend:
         done = [key for r in records for key in r["stages"].get("s", {}).get("done", [])]
         assert stage_rows == json.loads(json.dumps([trace_to_row(t) for t in traces]))
         assert sorted(map(tuple, done)) == sorted((vp.name, t) for vp, t in jobs)
-        parked = [
-            row[2] for r in records for shard in r["shards"].get("s", {}).values()
-            for row in shard["results"]
-        ]
-        if workers:
-            # Each parked trace once more, and no trace is parked twice.
-            assert sorted(map(json.dumps, parked)) == sorted(map(json.dumps, stage_rows))
-        else:
-            assert parked == []
+        assert all(set(r) == {"stages", "health", "injector"} for r in records)
+        text = path.read_text()
+        for row in stage_rows:
+            assert text.count(json.dumps(row, separators=(",", ":"))) == 1

@@ -1,14 +1,6 @@
-"""Deterministic sharding: stable ids, full coverage, ordered merge."""
+"""Deterministic sharding: stable ids, full coverage in job order."""
 
-import pytest
-
-from repro.measure.shard import (
-    OVERPARTITION,
-    Shard,
-    merge_shard_results,
-    plan_shards,
-    shard_size_for,
-)
+from repro.measure.shard import OVERPARTITION, plan_shards, shard_size_for
 
 JOBS = [(f"vp{i % 3}", f"198.18.5.{i}") for i in range(100)]
 
@@ -44,27 +36,3 @@ class TestPlanning:
 
     def test_empty_jobs_plan_nothing(self):
         assert plan_shards([], "s") == []
-
-    def test_round_trip_through_dict(self):
-        shard = plan_shards(JOBS, "s", shard_size=10, flow_id=2)[0]
-        assert Shard.from_dict(shard.as_dict()) == shard
-
-
-class TestMerge:
-    def test_merge_restores_job_order(self):
-        shards = plan_shards(JOBS, "s", shard_size=9)
-        by_id = {s.shard_id: [f"r:{vp}:{t}" for vp, t in s.jobs]
-                 for s in shards}
-        merged = merge_shard_results(list(reversed(shards)), by_id)
-        assert merged == [f"r:{vp}:{t}" for vp, t in JOBS]
-
-    def test_missing_shard_contributes_nothing(self):
-        shards = plan_shards(JOBS, "s", shard_size=50)
-        by_id = {shards[1].shard_id: list(shards[1].jobs)}
-        assert merge_shard_results(shards, by_id) == list(shards[1].jobs)
-
-    def test_wrong_result_count_raises(self):
-        shards = plan_shards(JOBS, "s", shard_size=50)
-        by_id = {shards[0].shard_id: ["only-one"]}
-        with pytest.raises(ValueError, match="1 results for 50 jobs"):
-            merge_shard_results(shards, by_id)

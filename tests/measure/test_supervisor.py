@@ -3,21 +3,25 @@
 Every test runs real ``spawn``-context worker processes over the toy
 substrate (the same diamond the ``toy_network`` fixture builds), so
 what is exercised here is the actual supervisor loop: heartbeats,
-SIGKILL recovery, stall detection, poison quarantine, and checkpointed
-shard reuse.
+SIGKILL recovery, stall detection, poison quarantine, and resuming
+from the replay's checkpoint.
 """
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
-from repro.errors import CheckpointError
+from repro.errors import CampaignInterrupted
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
+from repro.measure.shard import plan_shards
 from repro.measure.substrates import WorkerSpec, toy_substrate
+from repro.measure import supervisor as supervisor_module
 from repro.measure.supervisor import SupervisedCampaignRunner
-from repro.measure.traceroute import trace_from_row, trace_to_row
+from repro.measure.traceroute import Tracerouter, trace_from_row, trace_to_row
 
 SPEC = WorkerSpec("repro.measure.substrates:toy_substrate", {"hosts": 3})
 TARGETS = [f"198.18.5.{i}" for i in range(1, 41)]
@@ -87,58 +91,6 @@ class TestWireFormat:
         assert trace_to_dict(trace_from_row(relisted)) == trace_to_dict(trace)
 
 
-def _parked_checkpoint(path):
-    """A checkpoint holding one parked shard of two real result rows."""
-    tracer, vps = toy_substrate(hosts=1)
-    vp = vps["vp0"]
-    rows = []
-    for target, fault_delta in (("198.18.5.1", None), ("198.18.5.2", {"probes_lost": 1})):
-        trace = tracer.trace(vp.host, target, src_address=vp.src_address)
-        trace.vp_name = vp.name
-        rows.append((vp.name, target, trace_to_row(trace), tracer.counters(), fault_delta))
-    checkpoint = CampaignCheckpoint(path)
-    checkpoint.record_shard("s", "s-0", {"results": rows})
-    checkpoint.save()
-    header, record = path.read_text().splitlines()
-    return header, json.loads(record)
-
-
-#: A corruption of the parked payload, and the JSON path it is named by.
-_ROW_CORRUPTIONS = {
-    "hop truncated to 3 fields": (lambda row: row[2][5][0].__delitem__(slice(3, None)), "[2][5][0]"),
-    "hop with a 7th field": (lambda row: row[2][5][0].append(1), "[2][5][0]"),
-    "hop address not a string": (lambda row: row[2][5][0].__setitem__(1, 7), "[2][5][0][1]"),
-    "trace missing its hops": (lambda row: row[2].pop(), "[2]"),
-    "completed not a bool": (lambda row: row[2].__setitem__(2, 1), "[2][2]"),
-    "row missing its fault delta": (lambda row: row.pop(), "$.shards.s.s-0.results[1]"),
-    "tracer delta not numeric": (lambda row: row[3].__setitem__("probes_sent", "x"), "[3].probes_sent"),
-}
-
-
-class TestParkedShardRows:
-    def test_real_rows_load_and_rebuild(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        _header, record = _parked_checkpoint(path)
-        results = CampaignCheckpoint.load(path).shard_results("s")["s-0"]["results"]
-        assert results == record["shards"]["s"]["s-0"]["results"]
-        for _vp, _target, wire, _tracer_delta, _fault_delta in results:
-            assert trace_to_row(trace_from_row(wire)) == tuple(
-                [*wire[:5], [tuple(hop) for hop in wire[5]]]
-            )
-
-    @pytest.mark.parametrize("corruption", sorted(_ROW_CORRUPTIONS))
-    def test_a_malformed_row_fails_the_load(self, tmp_path, corruption):
-        path = tmp_path / "ckpt.json"
-        header, record = _parked_checkpoint(path)
-        corrupt, where = _ROW_CORRUPTIONS[corruption]
-        corrupt(record["shards"]["s"]["s-0"]["results"][1])
-        path.write_text(f"{header}\n{json.dumps(record)}\n")
-        with pytest.raises(CheckpointError, match="corrupt checkpoint") as failure:
-            CampaignCheckpoint.load(path)
-        assert where in str(failure.value)
-        assert "$.shards.s.s-0.results[1]" in str(failure.value)
-
-
 class TestFaultFreeParity:
     def test_corpus_byte_identical_to_serial(self):
         corpus, runner = _supervised()
@@ -157,6 +109,40 @@ class TestFaultFreeParity:
         _corpus_text, runner = _supervised()
         _serial_text, serial = _serial()
         assert _campaign_health(runner) == _campaign_health(serial)
+
+    def test_every_trace_comes_from_the_pool(self, monkeypatch):
+        # The replay waits for each job's shard, so on a fault-free run
+        # the parent probes nothing itself.
+        calls = []
+        trace = Tracerouter.trace
+        monkeypatch.setattr(
+            Tracerouter, "trace",
+            lambda self, *args, **kwargs: calls.append(args) or trace(self, *args, **kwargs),
+        )
+        corpus, _runner = _supervised()
+        assert calls == []
+        monkeypatch.undo()
+        assert corpus == _serial_corpus()
+
+    def test_a_shard_that_settles_first_waits_for_the_earlier_one(self, monkeypatch):
+        # V settles shard 1 while W still runs shard 0: the replay, at
+        # job 0, keeps pumping until shard 0 settles, then consumes
+        # both in job order, probing nothing itself.
+        tracer, vps = toy_substrate(hosts=3)
+        runner = SupervisedCampaignRunner(
+            tracer, list(vps.values()), worker_spec=SPEC, workers=2,
+            shard_size=10,
+        )
+        _ScriptedWorkers(monkeypatch, runner, _out_of_order)
+        probed = []
+        trace = tracer.trace
+        tracer.trace = lambda *args, **kwargs: probed.append(args) or trace(*args, **kwargs)
+        jobs = _jobs(vps)[:40]
+        corpus = _corpus(runner.run(jobs, stage="s"))
+        assert probed == []
+        serial_tracer, serial_vps = toy_substrate(hosts=3)
+        serial = CampaignRunner(serial_tracer, list(serial_vps.values()))
+        assert corpus == _corpus(serial.run(_jobs(serial_vps)[:40], stage="s"))
 
     def test_single_worker_degenerates_cleanly(self):
         corpus, runner = _supervised(workers=1)
@@ -221,6 +207,158 @@ class TestCrashRecovery:
         assert corpus == _serial_corpus(plan)
 
 
+class _AwayFromThePump(SupervisedCampaignRunner):
+    """Naps longer than the heartbeat timeout, three times: on the
+    first trace of a shard the replay consumes (``replay``), or in the
+    first failovers (``failover``)."""
+
+    NAP_S = 0.6
+
+    def __init__(self, *args, nap_in, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nap_in = nap_in
+        self.consumed = 0
+        self.naps = 0
+
+    def _run_trace(self, vp, target, flow_id):
+        if (vp.name, target, flow_id) in self._speculative:
+            nap = self.nap_in == "replay" and self.consumed % 40 == 0
+            self.consumed += 1
+        else:
+            nap = self.nap_in == "failover" and self.naps < 3
+        if nap:
+            self.naps += 1
+            time.sleep(self.NAP_S)
+        return super()._run_trace(vp, target, flow_id)
+
+
+class _FakeProcess:
+    def is_alive(self):
+        return True
+
+    def terminate(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+
+class _ScriptedWorkers:
+    """Two in-process stand-ins for spawned workers, W and V.
+
+    The pool reads their pipes as usual; *script* (a generator
+    function of this object) sends one step of their messages per pump
+    tick, so the order in which shards start and settle is fixed.
+    """
+
+    def __init__(self, monkeypatch, runner, script):
+        self.runner = runner
+        self.ends = []
+        # Rows come from a tracer of their own, not the runner's.
+        self.tracer, self.vps = toy_substrate(hosts=3)
+        self.given = {}
+        monkeypatch.setattr(runner, "_spawn", self._spawn)
+        steps = script(self)
+        real_wait = supervisor_module._conn_wait
+
+        def scripted_wait(conns, timeout=None):
+            step = next(steps, None)
+            if step is not None:
+                step()
+            return real_wait(conns, timeout=timeout)
+
+        monkeypatch.setattr(supervisor_module, "_conn_wait", scripted_wait)
+
+    def _spawn(self, ctx, plan_payload, tracer_config, now):
+        parent_end, child_end = multiprocessing.Pipe()
+        self.ends.append(child_end)
+        self.runner.health.workers_spawned += 1
+        return supervisor_module._Worker(_FakeProcess(), parent_end, now)
+
+    def ready(self):
+        for end in self.ends:
+            end.send(("ready",))
+
+    def take(self):
+        """Record the shards sent to each worker so far: W's, then V's."""
+        for name, end in zip("WV", self.ends):
+            while end.poll():
+                self.given.setdefault(name, []).append(end.recv()[1])
+
+    def start(self, name, index):
+        self.ends["WV".index(name)].send(("start", self.given[name][index].shard_id, 1))
+
+    def done(self, name, index):
+        shard = self.given[name][index]
+        rows = []
+        for vp_name, target in shard.jobs:
+            vp = self.vps[vp_name]
+            trace = self.tracer.trace(vp.host, target, flow_id=shard.flow_id,
+                                      src_address=vp.src_address)
+            trace.vp_name = vp_name
+            delta = {key: 0 for key in self.tracer.counters()}
+            rows.append((vp_name, target, trace_to_row(trace), delta, None))
+        self.ends["WV".index(name)].send(("done", shard.shard_id, 1, rows, False))
+
+
+def _out_of_order(workers):
+    """W runs shards 0 and 2, V shards 1 and 3, one step per pump tick;
+    V settles shard 1 while W still runs shard 0."""
+    yield workers.ready
+    yield lambda: (workers.take(), workers.start("W", 0), workers.start("V", 0))
+    yield lambda: workers.done("V", 0)
+    yield lambda: workers.done("W", 0)
+    yield lambda: (workers.start("W", 1), workers.start("V", 1))
+    yield lambda: (workers.done("W", 1), workers.done("V", 1))
+
+
+class TestPumpLiveness:
+    """Time the parent spends away from the pump is no worker's stall."""
+
+    @pytest.mark.parametrize("nap_in, plan", [
+        ("replay", None),
+        ("failover", dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)),
+    ], ids=["replay", "failover"])
+    def test_a_slow_replay_or_failover_is_not_a_stall(self, nap_in, plan):
+        tracer, vps = _substrate(plan)
+        runner = _AwayFromThePump(
+            tracer, list(vps.values()), worker_spec=SPEC, workers=2,
+            shard_size=10, heartbeat_timeout=0.5, nap_in=nap_in,
+        )
+        corpus = _corpus(runner.run(_jobs(vps), stage="s"))
+        assert runner.naps == 3
+        assert runner.health.workers_stalled == 0
+        assert runner.health.shards_retried == 0
+        assert runner.health.workers_spawned == 2
+        assert corpus == _serial_corpus(plan)
+
+    def test_a_done_read_after_a_nap_is_not_a_stall(self, monkeypatch):
+        # W has read "start" for shard 0 when V settles shard 1; the
+        # pool yields and the parent naps.  W's "done" is then the first
+        # thing the pump reads from it, with W's next shard queued.
+        tracer, vps = toy_substrate(hosts=3)
+        runner = SupervisedCampaignRunner(
+            tracer, list(vps.values()), worker_spec=SPEC, workers=2,
+            shard_size=10, heartbeat_timeout=0.3,
+        )
+        workers = _ScriptedWorkers(monkeypatch, runner, _out_of_order)
+        shards = plan_shards(
+            [(vp.name, target) for vp, target in _jobs(vps)][:40], "s",
+            shard_size=10,
+        )
+        runner._unsettled.update(job for shard in shards for job in shard.jobs)
+        outcomes = {}
+        pool = runner._run_pool(shards, {}, outcomes)
+        next(pool)
+        assert outcomes == {workers.given["V"][0].shard_id: "done"}
+        time.sleep(0.5)
+        for _ in pool:
+            pass
+        assert runner.health.workers_stalled == 0
+        assert runner.health.workers_spawned == 2
+        assert list(outcomes.values()) == ["done"] * 4
+
+
 class TestPoisonQuarantine:
     def test_exhausted_retries_quarantine_the_shard(self):
         corpus, runner = _supervised(
@@ -238,28 +376,52 @@ class TestPoisonQuarantine:
 
 
 class TestCheckpointResume:
-    def test_completed_shards_are_reused_without_spawning(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        first = CampaignCheckpoint(path)
-        tracer, vps = toy_substrate(hosts=3)
-        runner = SupervisedCampaignRunner(
-            tracer, list(vps.values()), worker_spec=SPEC, checkpoint=first,
-            workers=2, shard_size=10,
-        )
-        # Speculate only — the stage is never replayed, so the shard
-        # payloads stay parked in the checkpoint (a supervisor killed
-        # between speculation and replay leaves exactly this state).
-        runner._precompute(_jobs(vps), "s", 0)
-        first.save()
-        assert runner.health.shards_planned == 12
+    def test_a_supervisor_killed_mid_stage_resumes_from_its_saved_replay(
+        self, tmp_path, monkeypatch
+    ):
+        # SIGKILL right after the second save: the stage is cut with no
+        # flush, and the workers die with the pool.
+        class Killed(BaseException):
+            pass
 
-        resumed = CampaignCheckpoint.load(path)
-        corpus, second = _supervised(checkpoint=resumed)
-        assert second.health.shards_reused == 12
-        assert second.health.workers_spawned == 0
+        save = CampaignCheckpoint.save
+        saves = []
+
+        def killing_save(checkpoint):
+            save(checkpoint)
+            saves.append(checkpoint.path.stat().st_size)
+            if len(saves) == 2:
+                raise Killed
+
+        monkeypatch.setattr(CampaignCheckpoint, "save", killing_save)
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(Killed):
+            _supervised(checkpoint=CampaignCheckpoint(path), checkpoint_every=15)
+        monkeypatch.undo()
+        killed = CampaignCheckpoint.load(path)
+        assert len(killed.stage_done("s")) == 30
+        assert not killed.stage_complete("s")
+        before = dict(killed.health)
+
+        tracer, vps = _substrate()
+        resumed = SupervisedCampaignRunner.resumed(
+            tracer, list(vps.values()), killed,
+            worker_spec=SPEC, workers=2, shard_size=10,
+        )
+        corpus = _corpus(resumed.run(_jobs(vps), stage="s"))
         assert corpus == _serial_corpus()
-        # Replay completed the stage: parked payloads are dropped.
-        assert resumed.shard_results("s") == {}
+        # Only the jobs the replay had not saved are sharded again, on
+        # a fresh pool.
+        assert resumed.health.shards_planned - before["shards_planned"] == 9
+        assert resumed.health.workers_spawned - before["workers_spawned"] == 2
+        assert resumed.health.shards_reused == 0
+        rows = [
+            row for line in path.read_text().splitlines()[1:]
+            for row in json.loads(line)["stages"].get("s", {}).get("traces", [])
+        ]
+        # Each trace is in the file once: the killed run's 30, then the
+        # resume's 90.
+        assert len({json.dumps(row) for row in rows}) == len(rows) == len(TARGETS) * 3
 
     PLAN = dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)
 
@@ -274,8 +436,6 @@ class TestCheckpointResume:
     def test_resume_converges_on_serial_output(self, tmp_path):
         # Kill a supervised campaign mid-stage, then resume it under
         # the supervisor, as a new process would.
-        from repro.errors import CampaignInterrupted
-
         path = tmp_path / "camp.json"
         with pytest.raises(CampaignInterrupted):
             _supervised(self.PLAN, checkpoint=CampaignCheckpoint(path),
@@ -287,8 +447,6 @@ class TestCheckpointResume:
     def test_serial_checkpoint_resumable_under_supervisor(self, tmp_path):
         # Mixed mode: a serial campaign's checkpoint picked up by the
         # supervised runner (an operator adds --workers when resuming).
-        from repro.errors import CampaignInterrupted
-
         path = tmp_path / "camp.json"
         with pytest.raises(CampaignInterrupted):
             _serial(self.PLAN, checkpoint=CampaignCheckpoint(path),
@@ -319,16 +477,59 @@ class TestValidation:
 
 
 class TestGracefulShutdown:
-    """Satellite: Ctrl-C / SIGTERM must checkpoint and leak nothing."""
+    """Ctrl-C / SIGTERM must checkpoint and leak nothing."""
+
+    def test_an_interrupt_while_waiting_on_a_shard_leaves_that_job_undone(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ckpt.json"
+        tracer, vps = toy_substrate(hosts=3)
+        runner = SupervisedCampaignRunner(
+            tracer, list(vps.values()), worker_spec=SPEC,
+            checkpoint=CampaignCheckpoint(path), workers=2, shard_size=10,
+        )
+        waiting = []
+        job_blocked = runner._job_blocked
+        monkeypatch.setattr(
+            runner, "_job_blocked",
+            lambda job_key: waiting.append(job_key) or job_blocked(job_key),
+        )
+        real_wait = supervisor_module._conn_wait
+
+        def interrupting_wait(conns, timeout=None):
+            # Ctrl-C lands in the pump, once the replay is under way.
+            if runner._executed >= 15:
+                raise KeyboardInterrupt
+            return real_wait(conns, timeout=timeout)
+
+        monkeypatch.setattr(supervisor_module, "_conn_wait", interrupting_wait)
+        with pytest.raises(CampaignInterrupted, match="interrupted"):
+            runner.run(_jobs(vps), stage="s")
+        keys = [(vp.name, target) for vp, target in _jobs(vps)]
+        cut = keys.index(waiting[-1])
+        assert cut >= 15
+        saved = CampaignCheckpoint.load(path)
+        assert saved.health["interrupted"] is True
+        # Every job before the one waiting on its shard is saved; that
+        # one is not.
+        assert saved.stage_done("s") == set(keys[:cut])
+        assert len(saved.stage_traces("s")) == cut
+
+        monkeypatch.undo()
+        tracer, vps = toy_substrate(hosts=3)
+        resumed = SupervisedCampaignRunner.resumed(
+            tracer, list(vps.values()), CampaignCheckpoint.load(path),
+            worker_spec=SPEC, workers=2, shard_size=10,
+        )
+        corpus = _corpus(resumed.run(_jobs(vps), stage="s"))
+        reference, serial = _serial()
+        assert corpus == reference
+        assert {**_campaign_health(resumed), "resumed": False} == _campaign_health(serial)
 
     def test_interrupt_flushes_checkpoint_and_terminates_workers(
         self, tmp_path, monkeypatch
     ):
         import multiprocessing
-        import time
-
-        from repro.errors import CampaignInterrupted
-        from repro.measure import supervisor as supervisor_module
 
         path = tmp_path / "campaign.ckpt"
         tracer, vps = toy_substrate(hosts=3)

@@ -183,11 +183,14 @@ def supervised_toy_runner():
 def test_the_supervisor_speculates_paused(collector_enabled, monkeypatch):
     seen = []
 
-    def recording_precompute(self, jobs, stage, flow_id):
-        # Speculating nothing leaves every job to the serial replay.
+    def recording_pool(self, shards, attempts, outcomes):
         seen.append(gc.isenabled())
+        for shard in shards:
+            # Settled with no results: the replay probes these itself.
+            self._unsettled.difference_update(shard.jobs)
+            yield
 
-    monkeypatch.setattr(SupervisedCampaignRunner, "_precompute", recording_precompute)
+    monkeypatch.setattr(SupervisedCampaignRunner, "_run_pool", recording_pool)
     runner, jobs = supervised_toy_runner()
     traces = runner.run(jobs, stage="campaign")
     assert seen == [False]
@@ -196,11 +199,12 @@ def test_the_supervisor_speculates_paused(collector_enabled, monkeypatch):
 
 
 def test_a_failing_speculation_restores_the_collector(collector_enabled, monkeypatch):
-    def failing_precompute(self, jobs, stage, flow_id):
+    def failing_pool(self, shards, attempts, outcomes):
         assert not gc.isenabled()
         raise ValueError("pool fault")
+        yield
 
-    monkeypatch.setattr(SupervisedCampaignRunner, "_precompute", failing_precompute)
+    monkeypatch.setattr(SupervisedCampaignRunner, "_run_pool", failing_pool)
     runner, jobs = supervised_toy_runner()
     with pytest.raises(ValueError, match="pool fault"):
         runner.run(jobs, stage="campaign")

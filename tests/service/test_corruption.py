@@ -17,7 +17,7 @@ from repro.service.executor import JobExecutor
 from repro.service.spec import JobSpec
 from repro.service.store import JobStore
 
-_HEADER = json.dumps({"kind": "campaign-checkpoint", "schema": 2})
+_HEADER = json.dumps({"kind": "campaign-checkpoint", "schema": 3})
 
 
 def _lines(*lines):
@@ -26,7 +26,7 @@ def _lines(*lines):
 
 def _record(**fields):
     return json.dumps(
-        {"stages": {}, "shards": {}, "health": {}, "injector": {}, **fields}
+        {"stages": {}, "health": {}, "injector": {}, **fields}
     )
 
 
@@ -40,19 +40,23 @@ CHECKPOINT_VARIANTS = {
         {"schema": 1, "kind": "campaign-checkpoint", "stages": {},
          "health": {}, "injector": {}, "shards": {}}
     ),
+    # A log in the layout before parked shards went away.
+    "schema-2": _lines(
+        json.dumps({"kind": "campaign-checkpoint", "schema": 2}),
+        json.dumps({"stages": {}, "shards": {}, "health": {}, "injector": {}}),
+    ),
     "missing-header": _lines(_record()),
     "schema-violation": _lines(_HEADER, _record(stages="nope")),
     # A record before the last one that is not whole JSON: corruption,
     # not a torn save.
     "corrupt-middle-record": _lines(_HEADER, '{"stages": {', _record()),
-    # A parked shard whose hop row lost its last three fields.
-    "truncated-shard-hop": _lines(_HEADER, _record(shards={"slash24": {
-        "slash24-0000": {"results": [
-            ["vp0", "198.18.5.1",
-             ["10.9.0.2", "198.18.5.1", False, 0, "vp0",
-              [[1, "10.0.0.1", None]]],
-             {"probes_sent": 1}, None],
-        ]}}})),
+    # A stage trace whose hop row lost its last three fields.
+    "truncated-stage-hop": _lines(_HEADER, _record(stages={"slash24": {
+        "traces": [
+            ["10.9.0.2", "198.18.5.1", False, 0, "vp0", [[1, "10.0.0.1", None]]],
+        ],
+        "done": [["vp0", "198.18.5.1"]], "complete": False,
+    }})),
 }
 
 JOURNAL_VARIANTS = {

@@ -193,8 +193,11 @@ class TestSchedulingAndDrain:
         assert not (service.state_dir / DRAIN_MARKER).exists()
         # Flush happened: snapshot + obs exports on disk.
         assert (service.state_dir / "snapshot.json").exists()
-        assert (service.state_dir / "service-metrics.json").exists()
-        assert (service.state_dir / "service-trace.json").exists()
+        assert (service.state_dir / "service-metrics-executor.json").exists()
+        assert (service.state_dir / "service-trace-executor.json").exists()
+        # Only the per-executor pair: no shared export for peers to race on.
+        assert not (service.state_dir / "service-metrics.json").exists()
+        assert not (service.state_dir / "service-trace.json").exists()
 
     def test_max_jobs_bounds_the_loop(self, tmp_path):
         service = _service(tmp_path)
@@ -207,7 +210,7 @@ class TestSchedulingAndDrain:
         record, _ = service.submit(_toy(seed=1, chaos={"fail_attempts": 1}))
         service.run(until_idle=True)
         metrics = json.loads(
-            (service.state_dir / "service-metrics.json").read_text()
+            (service.state_dir / "service-metrics-executor.json").read_text()
         )
         counters = metrics["counters"]
         assert counters["service.jobs_submitted"] == 1
@@ -216,7 +219,7 @@ class TestSchedulingAndDrain:
         assert counters["service.jobs_done"] == 1
         assert metrics["gauges"]["service.queue_depth"] == 0
         spans = json.loads(
-            (service.state_dir / "service-trace.json").read_text()
+            (service.state_dir / "service-trace-executor.json").read_text()
         )["spans"]
         job_spans = [s for s in spans if s["name"] == f"job:{record.job_id}"]
         assert len(job_spans) == 2
@@ -267,6 +270,36 @@ class TestLeases:
         final = reborn.store.jobs[record.job_id]
         assert final.state == "done"
         assert final.attempt_log[0]["outcome"] == "interrupted"
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "supervised"])
+    def test_an_interrupted_campaign_releases_its_lease(self, tmp_path, monkeypatch, workers):
+        # The second signal's KeyboardInterrupt, landing inside a serial
+        # probe or a supervised pump, reaches the service as
+        # CampaignInterrupted: the lease goes back and the next attempt
+        # resumes the checkpoint.
+        from repro.measure import supervisor
+        from repro.measure.runner import CampaignRunner
+
+        service = _service(tmp_path)
+        record, _ = service.submit(_toy(seed=3, targets=10, hosts=2, workers=workers))
+        calls = []
+
+        def interrupting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+                return real(*args, **kwargs)
+            return wrapped
+
+        if workers:
+            monkeypatch.setattr(supervisor, "_conn_wait", interrupting(supervisor._conn_wait))
+        else:
+            monkeypatch.setattr(CampaignRunner, "_run_trace", interrupting(CampaignRunner._run_trace))
+        service.run(until_idle=True)
+        final = service.store.jobs[record.job_id]
+        assert final.state == "done"
+        assert [entry["outcome"] for entry in final.attempt_log] == ["interrupted", "done"]
 
     def test_heartbeat_extends_the_lease_during_execution(self, tmp_path):
         service = _service(tmp_path, lease_s=0.05)

@@ -178,11 +178,11 @@ class TestCliCheckpoint:
         self, tmp_path, capsys
     ):
         path = tmp_path / "ckpt.json"
-        header = {"kind": "campaign-checkpoint", "schema": 2}
+        header = {"kind": "campaign-checkpoint", "schema": 3}
         record = {
             "stages": {"slash24": {"complete": True, "done": [],
                                    "traces": [["10.0.0.1"]]}},
-            "shards": {}, "health": {}, "injector": {},
+            "health": {}, "injector": {},
         }
         path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
         rc = main(["map-cable", "comcast", "--sweep-vps", "2",
