@@ -20,7 +20,6 @@ inference (§5.2.5), and aggregation-type classification (Table 1).
 from __future__ import annotations
 
 import contextlib
-import pathlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,9 +31,7 @@ from repro.infer.aggtype import classify_aggregation
 from repro.infer.entries import EntryInferrer, EntryPoint
 from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RefinedRegion, RegionRefiner
-from repro.io.checkpoint import CampaignCheckpoint
 from repro.measure.runner import CampaignHealth, CampaignRunner
-from repro.measure.supervisor import SupervisedCampaignRunner
 from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import VantagePoint
 from repro.net.network import Network
@@ -241,39 +238,21 @@ class CableInferencePipeline:
 
     def _make_runner(self) -> CampaignRunner:
         """Build (or resume) the campaign runner shared by all sweeps."""
-        options = {
-            "min_vps": self.min_vps,
-            "failover": self.failover,
-            "stop_after": self.stop_after,
-            "obs": self.obs,
-            "metrics": self.metrics,
-        }
-        runner_cls = CampaignRunner
+        options = {}
         if self.workers > 1:
-            runner_cls = SupervisedCampaignRunner
-            options["worker_spec"] = self.worker_spec
-            options["workers"] = self.workers
-            options["shard_deadline"] = self.shard_deadline
-            options["max_shard_retries"] = self.max_shard_retries
-            options["quarantine"] = (
-                self._guard.report if self._guard is not None else None
-            )
-        checkpoint = None
-        if self.checkpoint_path is not None:
-            if self.resume and pathlib.Path(self.checkpoint_path).exists():
-                # A corrupt or truncated checkpoint raises (the CLI
-                # surfaces it as a one-line ``error:`` diagnostic):
-                # silently restarting a multi-hour campaign is never
-                # what --resume meant.  A checkpoint that does not
-                # exist yet is not an error — first run of a resumable
-                # campaign — so that case starts fresh.
-                checkpoint = CampaignCheckpoint.load(self.checkpoint_path)
-                return runner_cls.resumed(
-                    self.tracer, self.vps, checkpoint, **options
-                )
-            checkpoint = CampaignCheckpoint(self.checkpoint_path)
-        return runner_cls(
-            self.tracer, self.vps, checkpoint=checkpoint, **options
+            options = {
+                "shard_deadline": self.shard_deadline,
+                "max_shard_retries": self.max_shard_retries,
+                "quarantine": (
+                    self._guard.report if self._guard is not None else None
+                ),
+            }
+        return CampaignRunner.open(
+            self.tracer, self.vps, self.checkpoint_path, resume=self.resume,
+            workers=self.workers, worker_spec=self.worker_spec,
+            min_vps=self.min_vps, failover=self.failover,
+            stop_after=self.stop_after, obs=self.obs, metrics=self.metrics,
+            **options,
         )
 
     def collect_traces(self) -> "tuple[list[TraceResult], list[TraceResult]]":
@@ -466,12 +445,11 @@ class CableInferencePipeline:
 
         self._publish_metrics(guard, regions, traces, followups)
         quarantine = guard.report if guard is not None else None
-        if quarantine is None and isinstance(
-            self.runner, SupervisedCampaignRunner
-        ) and self.runner.quarantine:
+        runner_quarantine = getattr(self.runner, "quarantine", None)
+        if quarantine is None and runner_quarantine:
             # Poison-shard records exist even with validation off; a
             # result must never hide quarantined coverage loss.
-            quarantine = self.runner.quarantine
+            quarantine = runner_quarantine
         return CableInferenceResult(
             isp=self.isp.name,
             regions=regions,

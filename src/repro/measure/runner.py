@@ -13,10 +13,10 @@ failures:
 * **failover** — when a VP dies, its remaining jobs are reassigned to
   deterministic surviving stand-ins;
 * **checkpoint/resume** — completed traces are persisted periodically
-  via :class:`~repro.io.checkpoint.CampaignCheckpoint`; a resumed
-  campaign skips finished work and, because all fault decisions are
-  keyed on event identity, converges on the same final corpus as an
-  uninterrupted run;
+  via :class:`~repro.io.checkpoint.CampaignCheckpoint`; a campaign
+  resumed through :meth:`CampaignRunner.open` skips finished work and,
+  because all fault decisions are keyed on event identity, converges
+  on the same final corpus as an uninterrupted run;
 * **graceful degradation** — when the surviving fleet falls below
   ``min_vps`` the campaign returns the partial corpus plus an honest
   :class:`CampaignHealth` report instead of raising.
@@ -24,6 +24,7 @@ failures:
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import CampaignInterrupted
@@ -204,18 +205,58 @@ class CampaignRunner:
                     self.fleet.mark_dead(name)
 
     # ------------------------------------------------------------------
-    # Resume plumbing
+    # Opening a campaign
     # ------------------------------------------------------------------
     @classmethod
-    def resumed(cls, tracer, vps, checkpoint, **kwargs) -> "CampaignRunner":
-        """Build a runner continuing from a loaded checkpoint."""
-        injector = tracer.network.faults
-        if injector is not None and checkpoint.injector_state:
-            injector.restore_state(checkpoint.injector_state)
-        runner = cls(tracer, vps, checkpoint=checkpoint, **kwargs)
-        runner.health = CampaignHealth.from_dict(checkpoint.health)
-        runner.health.resumed = True
-        runner.health.interrupted = False
+    def open(
+        cls,
+        tracer: Tracerouter,
+        vps: "list[VantagePoint]",
+        checkpoint_path=None,
+        resume: bool = False,
+        workers: int = 0,
+        worker_spec=None,
+        **options,
+    ) -> "CampaignRunner":
+        """Start a campaign, or resume one from *checkpoint_path*.
+
+        The one place the resume policy lives: with *resume* set, a
+        missing file starts fresh (the first run of a resumable
+        campaign) and a corrupt or truncated one raises
+        :class:`~repro.errors.CheckpointError` rather than silently
+        restarting hours of probing.  A resumed runner restores the
+        injector's per-VP state before the fleet registers (so dead
+        VPs stay dead and dropout thresholds fire where the cut run
+        left them) and keeps the saved health counters.
+
+        ``workers > 1`` speculates in that many supervised worker
+        processes built from *worker_spec*; *options* go to the
+        runner's constructor.
+        """
+        from repro.io.checkpoint import CampaignCheckpoint
+
+        runner_cls = cls
+        if workers > 1:
+            from repro.measure.supervisor import SupervisedCampaignRunner
+
+            runner_cls = SupervisedCampaignRunner
+            options.update(worker_spec=worker_spec, workers=workers)
+        checkpoint = None
+        resumed = False
+        if checkpoint_path is not None:
+            resumed = resume and pathlib.Path(checkpoint_path).exists()
+            if resumed:
+                checkpoint = CampaignCheckpoint.load(checkpoint_path)
+                injector = tracer.network.faults
+                if injector is not None and checkpoint.injector_state:
+                    injector.restore_state(checkpoint.injector_state)
+            else:
+                checkpoint = CampaignCheckpoint(checkpoint_path)
+        runner = runner_cls(tracer, vps, checkpoint=checkpoint, **options)
+        if resumed:
+            runner.health = CampaignHealth.from_dict(checkpoint.health)
+            runner.health.resumed = True
+            runner.health.interrupted = False
         return runner
 
     def _save_checkpoint(self, stage: str, traces, done, complete: bool) -> None:

@@ -86,6 +86,10 @@ _PREFETCH_DEPTH = 2
 #: deaths happen in the runner loop; stale lookups happen at inference
 #: time.  Both therefore never occur inside a worker.
 _TRACE_FAULT_FIELDS = ("probes_lost", "rate_limited", "rdns_timeouts", "lsp_flaps")
+#: What a recycled worker's failure charges: a (CampaignHealth field,
+#: FaultStats field) pair.  A worker that fails to boot charges neither.
+_CRASH = ("workers_crashed", "worker_crashes")
+_STALL = ("workers_stalled", "worker_stalls")
 
 
 class _Speculative:
@@ -531,10 +535,19 @@ class SupervisedCampaignRunner(CampaignRunner):
                 )
                 queue.append((shard, now + backoff))
 
-        def recycle(worker: _Worker, reason: str, now: float) -> None:
+        def recycle(worker: _Worker, reason: str, now: float, charge) -> None:
+            """Kill and drop *worker*, charging its failure to *charge*:
+            a ``(health field, fault-stat field)`` pair, or None."""
             nonlocal boot_failures
             worker.kill()
             workers.remove(worker)
+            if charge is not None:
+                health_field, stat_field = charge
+                setattr(self.health, health_field,
+                        getattr(self.health, health_field) + 1)
+                if self.injector is not None:
+                    stats = self.injector.stats
+                    setattr(stats, stat_field, getattr(stats, stat_field) + 1)
             if not worker.ready:
                 boot_failures += 1
                 if boot_failures >= max_boot_failures:
@@ -613,10 +626,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                             # worker *was* running).
                             attempts[shard.shard_id] -= 1
                             queue.append((shard, now))
-                            self.health.workers_crashed += 1
-                            if self.injector is not None:
-                                self.injector.stats.worker_crashes += 1
-                            recycle(worker, "worker crashed", now)
+                            recycle(worker, "worker crashed", now, _CRASH)
                             continue
                         if not worker.assigned:
                             worker.last_heartbeat = now
@@ -633,10 +643,7 @@ class SupervisedCampaignRunner(CampaignRunner):
                     except (EOFError, OSError):
                         # Pipe closed without a goodbye: the worker
                         # process died (crash fault, OOM kill, ...).
-                        self.health.workers_crashed += 1
-                        if self.injector is not None:
-                            self.injector.stats.worker_crashes += 1
-                        recycle(worker, "worker crashed", now)
+                        recycle(worker, "worker crashed", now, _CRASH)
                         continue
                     kind = message[0]
                     if kind == "ready":
@@ -681,30 +688,21 @@ class SupervisedCampaignRunner(CampaignRunner):
                         # catches a worker that died with the pipe
                         # already drained.
                         if worker.conn not in readable:
-                            self.health.workers_crashed += 1
-                            if self.injector is not None:
-                                self.injector.stats.worker_crashes += 1
-                            recycle(worker, "worker crashed", now)
+                            recycle(worker, "worker crashed", now, _CRASH)
                         continue
                     if not worker.ready:
                         if now - worker.spawned_at > _BOOT_TIMEOUT_S:
-                            recycle(worker, "worker failed to boot", now)
+                            recycle(worker, "worker failed to boot", now, None)
                         continue
                     if not worker.assigned:
                         continue
                     if now - worker.last_heartbeat > self.heartbeat_timeout:
-                        self.health.workers_stalled += 1
-                        if self.injector is not None:
-                            self.injector.stats.worker_stalls += 1
-                        recycle(worker, "heartbeat timeout", now)
+                        recycle(worker, "heartbeat timeout", now, _STALL)
                     elif (
                         worker.active is not None
                         and now - worker.started_at > self.shard_deadline
                     ):
-                        self.health.workers_stalled += 1
-                        if self.injector is not None:
-                            self.injector.stats.worker_stalls += 1
-                        recycle(worker, "shard deadline exceeded", now)
+                        recycle(worker, "shard deadline exceeded", now, _STALL)
                 if finished > settled:
                     paused = time.monotonic()
                     yield

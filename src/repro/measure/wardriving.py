@@ -10,13 +10,11 @@ EdgeCO's last-mile device, and runs traceroute sweeps from each.
 
 from __future__ import annotations
 
-import pathlib
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MeasurementError
-from repro.io.checkpoint import CampaignCheckpoint
 from repro.measure.runner import CampaignHealth, CampaignRunner
 from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import VantagePoint, attach_host
@@ -133,23 +131,9 @@ class McTracerouteCampaign:
         """
         tracer = Tracerouter(self.network, attempts=attempts)
         vps = self.usable_vps()
-        if resume and checkpoint_path is not None \
-                and pathlib.Path(checkpoint_path).exists():
-            # A corrupt checkpoint raises rather than being overwritten;
-            # only a missing one starts fresh.
-            runner = CampaignRunner.resumed(
-                tracer, vps, CampaignCheckpoint.load(checkpoint_path),
-                min_vps=min_vps,
-            )
-        else:
-            checkpoint = (
-                CampaignCheckpoint(checkpoint_path)
-                if checkpoint_path is not None
-                else None
-            )
-            runner = CampaignRunner(
-                tracer, vps, checkpoint=checkpoint, min_vps=min_vps
-            )
+        runner = CampaignRunner.open(
+            tracer, vps, checkpoint_path, resume=resume, min_vps=min_vps
+        )
         self.last_health = runner.health
         return runner.run(
             [(vp, target) for vp in vps for target in targets],

@@ -15,6 +15,7 @@ methodology depends on:
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import re
 from typing import Iterator, Union
@@ -71,40 +72,30 @@ def p2p_peer(addr: "str | IPAddress", prefixlen: int = 30) -> IPAddress:
 
 
 # ----------------------------------------------------------------------
-# Memoised string forms for the probe and inference hot paths
+# String forms for the probe and inference hot paths
 # ----------------------------------------------------------------------
-_MISS = object()
-
-_normalize_memo: "dict[str, str]" = {}
-_p2p_memo: "dict[tuple[str, int], str | None]" = {}
-
 #: Canonical IPv4 dotted quad: four 0–255 octets, no leading zeros.
 #: Strings matching this are already in ``str(parse_ip(s))`` form and
-#: carry their octets in the groups, so the memo-miss paths below can
-#: skip ``ipaddress`` parsing entirely.  Anything else (IPv6,
-#: non-canonical quads, garbage) falls through to the slow path.
+#: carry their octets in the groups, so the fast paths below can skip
+#: ``ipaddress`` parsing entirely.  Anything else (IPv6, non-canonical
+#: quads, garbage) falls through to the slow path.
 _OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
 _DOTTED_QUAD = re.compile(rf"^{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}$")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def normalize_address(value) -> str:
-    """``str(parse_ip(value))`` with a process-wide memo for strings.
+    """``str(parse_ip(value))``, memoized in a bounded process-wide LRU.
 
-    Address normalization is a pure function of the input string, yet
-    it was the single hottest call in the pipeline (one ``ipaddress``
-    parse per hop per trace).  Non-string inputs (already-parsed
-    address objects) skip the memo.
+    Address normalization is a pure function of the input, yet it was
+    the single hottest call in the pipeline (one ``ipaddress`` parse
+    per hop per trace).  The bound (65,536 entries; a charter campaign
+    has about 3,500 distinct addresses) keeps a long-running service's
+    memo from growing with every job's fresh address space.
     """
-    if not isinstance(value, str):
-        return str(parse_ip(value))
-    cached = _normalize_memo.get(value)
-    if cached is None:
-        if _DOTTED_QUAD.match(value):
-            cached = value  # already canonical
-        else:
-            cached = str(parse_ip(value))
-        _normalize_memo[value] = cached
-    return cached
+    if isinstance(value, str) and _DOTTED_QUAD.match(value):
+        return value  # already canonical
+    return str(parse_ip(value))
 
 
 def p2p_peer_str(address: str, prefixlen: int = 30) -> "str | None":
@@ -112,35 +103,26 @@ def p2p_peer_str(address: str, prefixlen: int = 30) -> "str | None":
 
     Wraps :func:`p2p_peer`, converting the ``AddressError`` raised for
     network/broadcast addresses into None — every caller in the
-    inference path catches-and-skips, so the memo can store the failure
-    too.
+    inference path catches-and-skips.
     """
-    key = (address, prefixlen)
-    cached = _p2p_memo.get(key, _MISS)
-    if cached is _MISS:
-        match = _DOTTED_QUAD.match(address) if prefixlen in (30, 31) else None
-        if match is not None:
-            last = int(match.group(4))
-            if prefixlen == 31:
-                peer_last: "int | None" = last ^ 1
-            else:
-                low2 = last & 0b11
-                # low2 0/3 are the /30's network and broadcast
-                # addresses — no peer, matching the AddressError path.
-                peer_last = (
-                    last + 1 if low2 == 0b01
-                    else last - 1 if low2 == 0b10
-                    else None
-                )
-            cached = (
-                None if peer_last is None else
-                f"{match.group(1)}.{match.group(2)}"
-                f".{match.group(3)}.{peer_last}"
-            )
-        else:
-            cached = _p2p_peer_slow(address, prefixlen)
-        _p2p_memo[key] = cached
-    return cached
+    match = _DOTTED_QUAD.match(address) if prefixlen in (30, 31) else None
+    if match is None:
+        return _p2p_peer_slow(address, prefixlen)
+    last = int(match.group(4))
+    if prefixlen == 31:
+        peer_last: "int | None" = last ^ 1
+    else:
+        low2 = last & 0b11
+        # low2 0/3 are the /30's network and broadcast addresses — no
+        # peer, matching the AddressError path.
+        peer_last = (
+            last + 1 if low2 == 0b01
+            else last - 1 if low2 == 0b10
+            else None
+        )
+    if peer_last is None:
+        return None
+    return f"{match.group(1)}.{match.group(2)}.{match.group(3)}.{peer_last}"
 
 
 def _p2p_peer_slow(address: str, prefixlen: int) -> "str | None":

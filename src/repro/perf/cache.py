@@ -3,11 +3,11 @@
 Profiling the cable pipeline shows three dominant costs, all pure
 recomputation: address-string normalization (``str(parse_ip(s))``),
 point-to-point peer derivation, and PTR-lookup + hostname-regex parsing
-repeated once per IP *pair* instead of once per IP.  The first two are
-process-wide memos beside the address helpers they wrap
-(:func:`repro.net.addresses.normalize_address` and
-:func:`~repro.net.addresses.p2p_peer_str`); :func:`clear_module_memos`
-drops them.  This module holds the third:
+repeated once per IP *pair* instead of once per IP.  The first is a
+bounded process-wide LRU on
+:func:`repro.net.addresses.normalize_address` (:func:`clear_module_memos`
+empties it for benchmark isolation); the second is cheap enough on its
+dotted-quad fast path to need no memo.  This module holds the third:
 
 * **:class:`InferenceCache`** for facts that are pure only *per epoch*
   of an :class:`~repro.net.dns.RdnsStore`: a combined PTR lookup
@@ -27,16 +27,15 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from repro.net.addresses import _normalize_memo, _p2p_memo
+from repro.net.addresses import normalize_address
 from repro.obs.metrics import MetricsRegistry
 
 _MISS = object()
 
 
 def clear_module_memos() -> None:
-    """Drop the process-wide memos (tests and benchmark isolation)."""
-    _normalize_memo.clear()
-    _p2p_memo.clear()
+    """Empty the process-wide address memo (benchmark isolation)."""
+    normalize_address.cache_clear()
 
 
 @dataclass

@@ -1,20 +1,22 @@
 """Job execution: one attempt of one job, through the campaign stack.
 
 The executor is deliberately thin: it maps a :class:`JobSpec` plus a
-fidelity level onto the existing measurement machinery —
-:class:`~repro.measure.runner.CampaignRunner` serially, or
-:class:`~repro.measure.supervisor.SupervisedCampaignRunner` when the
-spec asks for workers — and exports the resulting artifacts atomically
-into the job's directory.  Everything that makes execution resumable
-already exists one layer down: the campaign checkpoint lives at
-``jobs/<id>/checkpoint.json``, so an attempt interrupted by a crash (or
-a reclaimed lease) resumes mid-campaign instead of restarting, and the
-event-keyed fault plan guarantees the resumed corpus converges on the
-uninterrupted one.
+fidelity level onto the existing measurement machinery — the toy
+substrate through :meth:`~repro.measure.runner.CampaignRunner.open`,
+or the full cable pipeline — and exports the resulting artifacts
+atomically into a per-executor staging directory.  Everything that
+makes execution resumable already exists one layer down: the campaign
+checkpoint lives at ``jobs/<id>/checkpoint.json``, so an attempt
+interrupted by a crash (or a reclaimed lease) resumes mid-campaign
+instead of restarting, and the event-keyed fault plan guarantees the
+resumed corpus converges on the uninterrupted one.  The one service
+twist on the resume policy is that a corrupt checkpoint is discarded
+and the attempt charged, rather than failing the job.
 
-Every attempt writes a ``health.json`` (campaign-health artifact) and,
-when the supervised runner quarantined poison shards, a validated
-``quarantine.json`` the job record links to.
+Both job kinds share one export path: every attempt writes its corpus,
+a ``health.json`` (campaign-health artifact) and, when the campaign
+quarantined anything, a validated ``quarantine.json`` the job record
+links to.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
+import shutil
 from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError, ServiceError
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.atomic import atomic_write_text
-from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
+from repro.io.checkpoint import trace_to_dict
 from repro.obs import sha256_text
 from repro.service.spec import JobSpec
 from repro.validate.quarantine import quarantine_report_to_json
@@ -77,48 +80,29 @@ class JobExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, job_id: str, spec: JobSpec, fidelity: str,
-                attempt: int,
-                stage_dir: "pathlib.Path | None" = None) -> ExecutionResult:
+                attempt: int, stage_dir: pathlib.Path) -> ExecutionResult:
         """Run one attempt; raises on failure (the service charges it).
 
-        *stage_dir* is where artifact files land — a per-executor
-        staging directory when several executors share the job store
-        (the service promotes it under the append lock after checking
-        its fencing token), or the job directory itself when absent.
-        The campaign checkpoint always stays in the shared job
-        directory so a retry by *any* executor resumes mid-campaign.
+        Artifact files land in *stage_dir*, a per-executor staging
+        directory (the service promotes it under the append lock after
+        checking its fencing token).  The campaign checkpoint stays in
+        the shared job directory so a retry by *any* executor resumes
+        mid-campaign.
         """
         fail_until = int(spec.chaos.get("fail_attempts", 0))
         if attempt <= fail_until:
             raise ServiceError(
                 f"injected chaos failure (attempt {attempt}/{fail_until})"
             )
-        from repro.perf.cache import clear_module_memos
-
         job_dir = self.jobs_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        if stage_dir is None:
-            stage_dir = job_dir
-        else:
-            # A previous abandoned attempt's leftovers must not leak
-            # into this attempt's artifact set.
-            import shutil
-
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            stage_dir.mkdir(parents=True, exist_ok=True)
-        # The normalize/p2p memos are process-wide and keyed by address
-        # string: in a long-running service each job's address space
-        # would accrete forever.  Jobs never share addresses by design
-        # (seeds differ), so drop the memos between attempts.
-        clear_module_memos()
-        try:
-            if spec.pipeline == "toy":
-                return self._execute_toy(job_id, spec, fidelity, job_dir,
-                                         stage_dir)
-            return self._execute_cable(job_id, spec, fidelity, job_dir,
-                                       stage_dir)
-        finally:
-            clear_module_memos()
+        # A previous abandoned attempt's leftovers must not leak into
+        # this attempt's artifact set.
+        shutil.rmtree(stage_dir, ignore_errors=True)
+        stage_dir.mkdir(parents=True, exist_ok=True)
+        if spec.pipeline == "toy":
+            return self._execute_toy(spec, fidelity, job_dir, stage_dir)
+        return self._execute_cable(spec, fidelity, job_dir, stage_dir)
 
     # ------------------------------------------------------------------
     def _write(self, job_dir: pathlib.Path, name: str, text: str,
@@ -126,17 +110,23 @@ class JobExecutor:
         atomic_write_text(job_dir / name, text)
         artifacts[name] = {"sha256": sha256_text(text), "bytes": len(text)}
 
-    def _export_campaign(self, job_dir: pathlib.Path, runner,
-                         artifacts: "dict[str, dict]") -> None:
-        """Health always; quarantine when poison shards were recorded."""
+    def _export_campaign(self, stage_dir: pathlib.Path, spec: JobSpec,
+                         traces, health, quarantine,
+                         artifacts: "dict[str, dict]") -> ExecutionResult:
+        """Corpus and health always; quarantine when anything was dropped."""
         from repro.io.export import campaign_health_to_json
 
-        self._write(job_dir, "health.json",
-                    campaign_health_to_json(runner.health), artifacts)
-        quarantine = getattr(runner, "quarantine", None)
+        self._write_corpus(stage_dir, spec, traces, artifacts)
+        self._write(stage_dir, "health.json",
+                    campaign_health_to_json(health), artifacts)
         if quarantine is not None and quarantine:
-            self._write(job_dir, "quarantine.json",
+            self._write(stage_dir, "quarantine.json",
                         quarantine_report_to_json(quarantine), artifacts)
+        return ExecutionResult(
+            artifacts=artifacts,
+            degraded=health.degraded,
+            summary=health.summary(),
+        )
 
     def _write_corpus(self, stage_dir: pathlib.Path, spec: JobSpec,
                       traces, artifacts: "dict[str, dict]") -> None:
@@ -164,12 +154,11 @@ class JobExecutor:
         )
         self._write(stage_dir, "corpus.json", corpus, artifacts)
 
-    def _execute_toy(self, job_id: str, spec: JobSpec, fidelity: str,
+    def _execute_toy(self, spec: JobSpec, fidelity: str,
                      job_dir: pathlib.Path,
                      stage_dir: pathlib.Path) -> ExecutionResult:
         from repro.measure.runner import CampaignRunner
         from repro.measure.substrates import WorkerSpec, toy_substrate
-        from repro.measure.supervisor import SupervisedCampaignRunner
 
         hosts = max(1, spec.hosts)
         targets = _scaled(min(200, spec.targets), fidelity)
@@ -177,36 +166,19 @@ class JobExecutor:
         plan = FaultPlan(**spec.faults) if spec.faults else None
         if plan is not None and plan.active:
             tracer.network.attach_faults(FaultInjector(plan))
-        checkpoint_path = job_dir / "checkpoint.json"
-        resumed = checkpoint_path.exists()
-        with _discarding_corrupt_checkpoint(checkpoint_path):
-            checkpoint = (
-                CampaignCheckpoint.load(checkpoint_path) if resumed
-                else CampaignCheckpoint(checkpoint_path)
-            )
-        options = {
-            "obs": self.obs,
-            "metrics": self.metrics,
-            "checkpoint_every": max(1, targets // 2),
-        }
-        runner_cls = CampaignRunner
+        options = {}
         if spec.workers > 1:
-            runner_cls = SupervisedCampaignRunner
-            options["worker_spec"] = WorkerSpec(
-                "repro.measure.substrates:toy_substrate", {"hosts": hosts},
-            )
-            options["workers"] = spec.workers
             options["shard_size"] = max(1, targets // 2)
-        if resumed:
-            # The canonical resume path: restores health counters and
-            # the injector's per-VP probe state, so dropout thresholds
-            # fire where the interrupted attempt left them.
-            runner = runner_cls.resumed(
-                tracer, list(vps.values()), checkpoint, **options
-            )
-        else:
-            runner = runner_cls(
-                tracer, list(vps.values()), checkpoint=checkpoint, **options
+        checkpoint_path = job_dir / "checkpoint.json"
+        with _discarding_corrupt_checkpoint(checkpoint_path):
+            runner = CampaignRunner.open(
+                tracer, list(vps.values()), checkpoint_path, resume=True,
+                workers=spec.workers,
+                worker_spec=WorkerSpec(
+                    "repro.measure.substrates:toy_substrate", {"hosts": hosts},
+                ),
+                checkpoint_every=max(1, targets // 2),
+                obs=self.obs, metrics=self.metrics, **options,
             )
         jobs = [
             (vp, f"198.18.5.{index}")
@@ -214,16 +186,12 @@ class JobExecutor:
             for index in range(1, targets + 1)
         ]
         traces = runner.run(jobs, stage="campaign")
-        artifacts: "dict[str, dict]" = {}
-        self._write_corpus(stage_dir, spec, traces, artifacts)
-        self._export_campaign(stage_dir, runner, artifacts)
-        return ExecutionResult(
-            artifacts=artifacts,
-            degraded=runner.health.degraded,
-            summary=runner.health.summary(),
+        return self._export_campaign(
+            stage_dir, spec, traces, runner.health,
+            getattr(runner, "quarantine", None), {},
         )
 
-    def _execute_cable(self, job_id: str, spec: JobSpec, fidelity: str,
+    def _execute_cable(self, spec: JobSpec, fidelity: str,
                        job_dir: pathlib.Path,
                        stage_dir: pathlib.Path) -> ExecutionResult:
         from repro.infer.pipeline import CableInferencePipeline
@@ -241,7 +209,7 @@ class JobExecutor:
             sweep_vps=_scaled(spec.sweep_vps, fidelity, floor=2),
             faults=plan,
             checkpoint_path=checkpoint_path,
-            resume=checkpoint_path.exists(),
+            resume=True,
             workers=spec.workers, worker_spec=worker_spec,
             trace_seed=spec.seed,
         )
@@ -256,19 +224,7 @@ class JobExecutor:
         # The collected corpus ships alongside the inferred regions so
         # downstream consumers (diffing, the streaming incremental
         # engine's ingest_from_store) can replay the raw observations.
-        self._write_corpus(stage_dir, spec, result.traces, artifacts)
-        if result.quarantine is not None and result.quarantine:
-            self._write(stage_dir, "quarantine.json",
-                        quarantine_report_to_json(result.quarantine),
-                        artifacts)
-        health = result.health
-        if health is not None:
-            from repro.io.export import campaign_health_to_json
-
-            self._write(stage_dir, "health.json",
-                        campaign_health_to_json(health), artifacts)
-        return ExecutionResult(
-            artifacts=artifacts,
-            degraded=bool(health.degraded) if health is not None else False,
-            summary=health.summary() if health is not None else "",
+        return self._export_campaign(
+            stage_dir, spec, result.traces, result.health, result.quarantine,
+            artifacts,
         )

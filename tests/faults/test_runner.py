@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, CheckpointError
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
+from repro.measure.substrates import WorkerSpec, toy_substrate
 from repro.measure.traceroute import Tracerouter
 
 TARGETS = ["10.0.0.14", "10.0.0.6", "198.18.5.1", "198.18.5.9"]
@@ -127,9 +128,10 @@ class TestCheckpointResume:
             runner.run(_jobs(vps), stage="s")
 
         # ...then resume it with a fresh tracer, as a new process would.
-        loaded = CampaignCheckpoint.load(tmp_path / "camp.json")
         net.attach_faults(FaultInjector(self.PLAN))
-        resumed = CampaignRunner.resumed(Tracerouter(net), vps, loaded)
+        resumed = CampaignRunner.open(
+            Tracerouter(net), vps, tmp_path / "camp.json", resume=True
+        )
         traces = resumed.run(_jobs(vps), stage="s")
         assert [trace_to_dict(t) for t in traces] == reference
         assert resumed.health.resumed is True
@@ -154,9 +156,7 @@ class TestCheckpointResume:
         path.write_bytes(whole + whole[last:-7])  # a torn copy of the last save
 
         net.attach_faults(FaultInjector(self.PLAN))
-        resumed = CampaignRunner.resumed(
-            Tracerouter(net), vps, CampaignCheckpoint.load(path)
-        )
+        resumed = CampaignRunner.open(Tracerouter(net), vps, path, resume=True)
         traces = resumed.run(_jobs(vps), stage="s")
         assert [trace_to_dict(t) for t in traces] == reference
         assert path.read_bytes().startswith(whole)
@@ -184,7 +184,7 @@ class TestCheckpointResume:
         assert saved.health["interrupted"] is True
 
         net.attach_faults(FaultInjector(self.PLAN))
-        resumed = CampaignRunner.resumed(Tracerouter(net), vps, saved)
+        resumed = CampaignRunner.open(Tracerouter(net), vps, path, resume=True)
         traces = resumed.run(_jobs(vps), stage="s")
         assert [trace_to_dict(t) for t in traces] == reference
 
@@ -194,11 +194,63 @@ class TestCheckpointResume:
         runner = CampaignRunner(Tracerouter(net), vps, checkpoint=checkpoint)
         first = runner.run(_jobs(vps), stage="s")
 
-        loaded = CampaignCheckpoint.load(tmp_path / "camp.json")
         tracer = Tracerouter(net)
-        rerun = CampaignRunner.resumed(tracer, vps, loaded)
+        rerun = CampaignRunner.open(
+            tracer, vps, tmp_path / "camp.json", resume=True
+        )
         again = rerun.run(_jobs(vps), stage="s")
         assert [trace_to_dict(t) for t in again] == [
             trace_to_dict(t) for t in first
         ]
         assert tracer.traces_run == 0  # nothing re-executed
+
+
+class TestOpen:
+    """The opener's resume policy is the same serial and supervised."""
+
+    PLAN = dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)
+    SPEC = WorkerSpec("repro.measure.substrates:toy_substrate", {"hosts": 3})
+    TARGETS = [f"198.18.5.{i}" for i in range(1, 11)]
+
+    def _open(self, path, workers, **options):
+        """A fresh substrate, as a new process would build it."""
+        tracer, vps = toy_substrate(hosts=3)
+        tracer.network.attach_faults(FaultInjector(FaultPlan(**self.PLAN)))
+        runner = CampaignRunner.open(
+            tracer, list(vps.values()), path, resume=True, workers=workers,
+            worker_spec=self.SPEC, **options,
+        )
+        return runner, _jobs(list(vps.values()), self.TARGETS)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "supervised"])
+    def test_resume_policy(self, workers, tmp_path):
+        reference, jobs = self._open(None, 0)
+        expected = [trace_to_dict(t) for t in reference.run(jobs, stage="s")]
+
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text('{"kind": "campaign-checkpoint", TRUNC')
+        with pytest.raises(CheckpointError):
+            self._open(corrupt, workers)
+        assert corrupt.read_text() == '{"kind": "campaign-checkpoint", TRUNC'
+
+        # No file yet: a fresh campaign, cut after a VP has died.
+        path = tmp_path / "camp.json"
+        cut, jobs = self._open(path, workers, stop_after=12)
+        assert not cut.health.resumed
+        with pytest.raises(CampaignInterrupted):
+            cut.run(jobs, stage="s")
+        assert cut.health.vps_lost
+
+        resumed, jobs = self._open(path, workers)
+        assert resumed.health.resumed
+        assert resumed.health.vps_lost == cut.health.vps_lost
+        for name in cut.health.vps_lost:
+            assert not resumed.fleet.is_alive(name)
+        traces = resumed.run(jobs, stage="s")
+        assert [trace_to_dict(t) for t in traces] == expected
+        assert (resumed.health.workers_spawned > 0) == (workers > 1)
+
+        complete, jobs = self._open(path, workers)
+        assert [trace_to_dict(t) for t in complete.run(jobs, stage="s")] == expected
+        assert complete.tracer.traces_run == 0
+        assert complete.health.workers_spawned == resumed.health.workers_spawned

@@ -404,9 +404,9 @@ class TestCheckpointResume:
         before = dict(killed.health)
 
         tracer, vps = _substrate()
-        resumed = SupervisedCampaignRunner.resumed(
-            tracer, list(vps.values()), killed,
-            worker_spec=SPEC, workers=2, shard_size=10,
+        resumed = CampaignRunner.open(
+            tracer, list(vps.values()), path, resume=True,
+            workers=2, worker_spec=SPEC, shard_size=10,
         )
         corpus = _corpus(resumed.run(_jobs(vps), stage="s"))
         assert corpus == _serial_corpus()
@@ -427,9 +427,9 @@ class TestCheckpointResume:
 
     def _resume(self, path):
         tracer, vps = _substrate(self.PLAN)
-        runner = SupervisedCampaignRunner.resumed(
-            tracer, list(vps.values()), CampaignCheckpoint.load(path),
-            worker_spec=SPEC, workers=2, shard_size=10,
+        runner = CampaignRunner.open(
+            tracer, list(vps.values()), path, resume=True,
+            workers=2, worker_spec=SPEC, shard_size=10,
         )
         return _corpus(runner.run(_jobs(vps), stage="s")), runner
 
@@ -517,9 +517,9 @@ class TestGracefulShutdown:
 
         monkeypatch.undo()
         tracer, vps = toy_substrate(hosts=3)
-        resumed = SupervisedCampaignRunner.resumed(
-            tracer, list(vps.values()), CampaignCheckpoint.load(path),
-            worker_spec=SPEC, workers=2, shard_size=10,
+        resumed = CampaignRunner.open(
+            tracer, list(vps.values()), path, resume=True,
+            workers=2, worker_spec=SPEC, shard_size=10,
         )
         corpus = _corpus(resumed.run(_jobs(vps), stage="s"))
         reference, serial = _serial()
@@ -566,9 +566,9 @@ class TestGracefulShutdown:
         # corpus is byte-identical to the serial reference.
         monkeypatch.setattr(supervisor_module, "_conn_wait", real_wait)
         tracer2, vps2 = toy_substrate(hosts=3)
-        resumed = SupervisedCampaignRunner.resumed(
-            tracer2, list(vps2.values()), CampaignCheckpoint.load(path),
-            worker_spec=SPEC, workers=2, shard_size=10,
+        resumed = CampaignRunner.open(
+            tracer2, list(vps2.values()), path, resume=True,
+            workers=2, worker_spec=SPEC, shard_size=10,
         )
         corpus = _corpus(resumed.run(_jobs(vps2), stage="s"))
         assert corpus == _serial_corpus()

@@ -40,6 +40,15 @@ class TestModuleMemos:
         # Second pass hits the memo; answers must not drift.
         assert [normalize_address(v) for v in values] == expected
 
+    def test_normalize_memo_is_bounded(self):
+        # More distinct addresses than the bound, as a long-running
+        # service sees across many jobs' address spaces.
+        bound = normalize_address.cache_info().maxsize
+        for index in range(bound + 1000):
+            value = f"10.{index >> 16}.{index >> 8 & 255}.{index & 255}"
+            assert normalize_address(value) == value
+        assert normalize_address.cache_info().currsize <= bound
+
     def test_p2p_peer_memoizes_failures(self):
         # A /30 network address has no peer: None both times.
         assert p2p_peer_str("10.0.0.0") is None

@@ -110,12 +110,13 @@ class TestJobCheckpointDiscard:
 
     def test_toy_job(self, tmp_path):
         executor = JobExecutor(tmp_path / "jobs")
+        stage = tmp_path / "stage"
         spec = JobSpec(pipeline="toy", seed=1, targets=4, hosts=2)
         path = self._corrupt(executor, "toy")
         with pytest.raises(ServiceError, match="corrupt and has been discarded"):
-            executor.execute("toy", spec, "full", attempt=1)
+            executor.execute("toy", spec, "full", attempt=1, stage_dir=stage)
         assert not path.exists()
-        result = executor.execute("toy", spec, "full", attempt=2)
+        result = executor.execute("toy", spec, "full", attempt=2, stage_dir=stage)
         assert "corpus.json" in result.artifacts
         assert path.exists()
 
@@ -128,13 +129,14 @@ class TestJobCheckpointDiscard:
             monkeypatch.setattr(CableInferencePipeline, name,
                                 lambda self, full=full: full(self)[:8])
         executor = JobExecutor(tmp_path / "jobs")
+        stage = tmp_path / "stage"
         spec = JobSpec(pipeline="map-cable", seed=0, isp="charter",
                        sweep_vps=2)
         path = self._corrupt(executor, "cable")
         with pytest.raises(ServiceError, match="corrupt and has been discarded"):
-            executor.execute("cable", spec, "full", attempt=1)
+            executor.execute("cable", spec, "full", attempt=1, stage_dir=stage)
         assert not path.exists()
-        fresh = executor.execute("cable", spec, "full", attempt=2)
+        fresh = executor.execute("cable", spec, "full", attempt=2, stage_dir=stage)
         assert path.exists()
 
         loads = []
@@ -142,7 +144,7 @@ class TestJobCheckpointDiscard:
         monkeypatch.setattr(CampaignCheckpoint, "load", classmethod(
             lambda cls, where: loads.append(where) or load(cls, where)
         ))
-        resumed = executor.execute("cable", spec, "full", attempt=3)
+        resumed = executor.execute("cable", spec, "full", attempt=3, stage_dir=stage)
         assert loads == [path]
         fresh.artifacts.pop("health.json")
         resumed.artifacts.pop("health.json")
