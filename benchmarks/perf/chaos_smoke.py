@@ -8,8 +8,11 @@ Runs the toy-substrate campaign twice:
   and ``worker_stall`` chaos.
 
 Asserts that chaos actually happened (crashes and stalls were observed
-and recovered), that every shard completed (nothing poisoned), and that
-the supervised corpus is byte-identical to the serial oracle's.  Writes
+and recovered), that every shard completed (nothing poisoned), that
+the supervised corpus is byte-identical to the serial oracle's, and
+that its campaign health equals the oracle's apart from the
+supervisor's own bookkeeping: probe loss makes every trace's fault
+counts cross the worker pipe, so the cost ledger is checked too.  Writes
 the run's CampaignHealth, quarantine report, and metrics to
 ``--artifacts-dir`` so CI uploads them for post-mortem even on failure.
 
@@ -34,7 +37,11 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 #: Seeded so every CI run injects the identical chaos schedule.
-PLAN = {"seed": 11, "worker_crash": 0.25, "worker_stall": 0.15}
+PLAN = {"seed": 11, "probe_loss": 0.1, "worker_crash": 0.25, "worker_stall": 0.15}
+#: Health fields only the supervisor fills in; the pool's schedule,
+#: not the campaign, decides them.
+SUPERVISOR_HEALTH = ("shards_", "workers_")
+SUPERVISOR_FAULTS = ("worker_",)
 TARGETS = [f"198.18.5.{i}" for i in range(1, 41)]
 
 
@@ -46,6 +53,14 @@ def _corpus(traces) -> str:
     from repro.io.checkpoint import trace_to_dict
 
     return json.dumps([trace_to_dict(t) for t in traces], sort_keys=True)
+
+
+def _ledger(health) -> dict:
+    """*health* as a dict, without the supervisor's own bookkeeping."""
+    payload = {name: value for name, value in health.as_dict().items() if not name.startswith(SUPERVISOR_HEALTH)}
+    faults = payload["fault_stats"]
+    payload["fault_stats"] = {name: value for name, value in faults.items() if not name.startswith(SUPERVISOR_FAULTS)}
+    return payload
 
 
 def main() -> int:
@@ -62,9 +77,8 @@ def main() -> int:
 
     tracer, vps = toy_substrate(hosts=3)
     tracer.network.attach_faults(FaultInjector(FaultPlan(**PLAN)))
-    oracle = _corpus(
-        CampaignRunner(tracer, list(vps.values())).run(_jobs(vps), stage="s")
-    )
+    oracle_runner = CampaignRunner(tracer, list(vps.values()))
+    oracle = _corpus(oracle_runner.run(_jobs(vps), stage="s"))
 
     tracer, vps = toy_substrate(hosts=3)
     tracer.network.attach_faults(FaultInjector(FaultPlan(**PLAN)))
@@ -122,12 +136,16 @@ def main() -> int:
         )
     if corpus != oracle:
         failures.append("supervised corpus diverged from the serial oracle")
+    expected, got = _ledger(oracle_runner.health), _ledger(health)
+    if got != expected:
+        diverged = sorted(name for name in expected if got.get(name) != expected[name])
+        failures.append(f"supervised health diverged from the serial oracle in {', '.join(diverged)}")
+        print(f"supervised health: {got}\noracle health: {expected}", file=sys.stderr)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("chaos smoke passed: corpus identical, all shards recovered",
-          file=sys.stderr)
+    print("chaos smoke passed: corpus and health identical, all shards recovered", file=sys.stderr)
     return 0
 
 

@@ -83,6 +83,7 @@ def _export_corpus(args, result) -> None:
 
 def cmd_map_cable(args) -> int:
     """Run the §5 pipeline against a cable ISP, optionally exporting."""
+    from repro.errors import MeasurementError
     from repro.faults import FaultPlan
     from repro.infer.pipeline import CableInferencePipeline
     from repro.io.atomic import atomic_write_text
@@ -90,13 +91,14 @@ def cmd_map_cable(args) -> int:
     from repro.measure.substrates import cable_campaign
     from repro.validate.quarantine import quarantine_report_to_json
 
-    internet, fleet, worker_spec = cable_campaign(
-        seed=args.seed, route_model=args.route_model
-    )
-    isp = getattr(internet, args.isp)
+    worker_chaos = args.worker_crash or args.worker_stall or args.worker_slow
+    if worker_chaos and args.workers < 2:
+        raise MeasurementError(
+            "--worker-crash, --worker-stall and --worker-slow act on "
+            "supervised workers; they need --workers 2 or more"
+        )
     faults = None
-    if (args.faults or args.vp_dropouts or args.stale_rdns
-            or args.worker_crash or args.worker_stall or args.worker_slow):
+    if args.faults or args.vp_dropouts or args.stale_rdns or worker_chaos:
         faults = FaultPlan(
             seed=args.fault_seed,
             probe_loss=args.faults,
@@ -107,6 +109,10 @@ def cmd_map_cable(args) -> int:
             worker_stall=args.worker_stall,
             worker_slow=args.worker_slow,
         )
+    internet, fleet, worker_spec = cable_campaign(
+        seed=args.seed, route_model=args.route_model
+    )
+    isp = getattr(internet, args.isp)
     pipeline = CableInferencePipeline(
         internet.network, isp, fleet, sweep_vps=args.sweep_vps,
         attempts=args.attempts, faults=faults,
@@ -115,14 +121,15 @@ def cmd_map_cable(args) -> int:
         validate=args.validate, workers=args.workers,
         worker_spec=worker_spec, shard_deadline=args.shard_deadline,
         max_shard_retries=args.max_shard_retries, pace_ms=args.pace_ms,
-        profile=args.profile, trace_seed=args.seed,
-        corpus_format=args.corpus_format,
+        trace_seed=args.seed, corpus_format=args.corpus_format,
     )
     result = pipeline.run()
     if args.corpus_out:
         _export_corpus(args, result)
-    if pipeline.profiler is not None:
-        for line in pipeline.profiler.report():
+    if args.profile:
+        from repro.obs import phase_report
+
+        for line in phase_report(pipeline.obs):
             print(line)
     if args.trace_out:
         path = atomic_write_text(pathlib.Path(args.trace_out),

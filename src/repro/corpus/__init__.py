@@ -14,9 +14,6 @@ optimizations were waiting for:
 * :class:`~repro.corpus.columnar.CorpusBuilder` — the streaming
   ingestion side: append traces (or bare address paths) one at a time
   and materialize the arrays once;
-* zero-copy contiguous slicing (:meth:`TraceCorpus.slice_traces`,
-  :meth:`TraceCorpus.split`) so region and measurement shards share
-  the hop columns instead of copying them;
 * a lossless round-trip to and from ``list[TraceResult]`` — the object
   graph stays the digest-parity oracle for every vectorized path;
 * :mod:`repro.corpus.binio` — a binary on-disk format (``.npz``)

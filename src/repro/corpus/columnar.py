@@ -17,12 +17,6 @@ three interned string tables:
   ``rtt`` (``NaN`` when absent), ``reply_ttl`` (:data:`NO_REPLY_TTL`
   sentinel when absent), and ``attempts``.
 
-Because traces are stored contiguously, slicing a *contiguous* trace
-range is zero-copy: the hop columns of the slice are numpy views into
-the parent's buffers and the string tables are shared by reference.
-That is what makes per-region and per-worker sharding cheap — a shard
-is an index range, not a copy.
-
 The round-trip contract: ``TraceCorpus.from_traces(ts).to_traces()``
 reproduces *ts* exactly (every ``Hop`` field, every ``TraceResult``
 field), so the object-graph pipeline remains the digest-parity oracle
@@ -119,7 +113,7 @@ class TraceCorpus:
         default_factory=lambda: np.empty(0, dtype=np.int32))
     #: Lazy per-corpus derived-array cache (sorted pair keys, expanded
     #: trace ids).  Columns are never mutated after construction, so the
-    #: cache is safe; slices and splits get a fresh one.
+    #: cache is safe.
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -209,48 +203,6 @@ class TraceCorpus:
                 vp_name=vps[self.vp_id[t]],
             ))
         return traces
-
-    # ------------------------------------------------------------------
-    # Zero-copy sharding
-    # ------------------------------------------------------------------
-    def slice_traces(self, start: int, stop: int) -> "TraceCorpus":
-        """A view over traces ``[start, stop)``.
-
-        Hop and trace columns are numpy *views* into this corpus's
-        buffers (zero-copy); only the ``T + 1`` offset vector is
-        rebased.  The string tables are shared by reference, so ids in
-        the slice resolve against the parent tables.
-        """
-        start = max(0, min(start, len(self)))
-        stop = max(start, min(stop, len(self)))
-        lo = int(self.hop_offsets[start])
-        hi = int(self.hop_offsets[stop])
-        return TraceCorpus(
-            addresses=self.addresses,
-            hostnames=self.hostnames,
-            vps=self.vps,
-            src_id=self.src_id[start:stop],
-            dst_id=self.dst_id[start:stop],
-            completed=self.completed[start:stop],
-            flow_id=self.flow_id[start:stop],
-            vp_id=self.vp_id[start:stop],
-            hop_offsets=self.hop_offsets[start:stop + 1] - lo,
-            hop_idx=self.hop_idx[lo:hi],
-            addr_id=self.addr_id[lo:hi],
-            rdns_id=self.rdns_id[lo:hi],
-            rtt=self.rtt[lo:hi],
-            reply_ttl=self.reply_ttl[lo:hi],
-            attempts=self.attempts[lo:hi],
-        )
-
-    def split(self, shards: int) -> "list[TraceCorpus]":
-        """Contiguous near-equal shards (the measurement-shard shape)."""
-        shards = max(1, min(shards, max(1, len(self))))
-        bounds = np.linspace(0, len(self), shards + 1).astype(int)
-        return [
-            self.slice_traces(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(shards)
-        ]
 
 
 #: Array fields of :class:`TraceCorpus`, with their expected dtypes —

@@ -14,7 +14,7 @@ byte-identically to the fault-free seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.faults.plan import FaultPlan, seeded_uniform
 
@@ -34,34 +34,29 @@ class FaultStats:
     worker_slowdowns: int = 0
     vps_killed: "list[str]" = field(default_factory=list)
 
+    #: The counts a single traceroute can move, in the order a
+    #: supervised worker's per-trace cost record carries them.  VP flaps
+    #: and deaths happen in the runner loop and stale lookups at
+    #: inference time, so neither ever happens inside a worker.
+    TRACE_COUNTS = ("probes_lost", "rate_limited", "rdns_timeouts", "lsp_flaps")
+
+    def charge(self, cost) -> None:
+        """Add *cost*, amounts in :attr:`TRACE_COUNTS` order, to the counts."""
+        for name, amount in zip(self.TRACE_COUNTS, cost):
+            setattr(self, name, getattr(self, name) + amount)
+
     def as_dict(self) -> "dict[str, object]":
-        return {
-            "probes_lost": self.probes_lost,
-            "rate_limited": self.rate_limited,
-            "rdns_timeouts": self.rdns_timeouts,
-            "vp_flaps": self.vp_flaps,
-            "lsp_flaps": self.lsp_flaps,
-            "stale_lookups": self.stale_lookups,
-            "worker_crashes": self.worker_crashes,
-            "worker_stalls": self.worker_stalls,
-            "worker_slowdowns": self.worker_slowdowns,
-            "vps_killed": sorted(self.vps_killed),
-        }
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        payload["vps_killed"] = sorted(self.vps_killed)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: "dict[str, object]") -> "FaultStats":
-        stats = cls()
-        stats.probes_lost = int(payload.get("probes_lost", 0))
-        stats.rate_limited = int(payload.get("rate_limited", 0))
-        stats.rdns_timeouts = int(payload.get("rdns_timeouts", 0))
-        stats.vp_flaps = int(payload.get("vp_flaps", 0))
-        stats.lsp_flaps = int(payload.get("lsp_flaps", 0))
-        stats.stale_lookups = int(payload.get("stale_lookups", 0))
-        stats.worker_crashes = int(payload.get("worker_crashes", 0))
-        stats.worker_stalls = int(payload.get("worker_stalls", 0))
-        stats.worker_slowdowns = int(payload.get("worker_slowdowns", 0))
-        stats.vps_killed = list(payload.get("vps_killed", []))
-        return stats
+        counts = {
+            spec.name: int(payload.get(spec.name, 0))
+            for spec in fields(cls) if spec.name != "vps_killed"
+        }
+        return cls(**counts, vps_killed=list(payload.get("vps_killed", [])))
 
     def publish_metrics(self, metrics, prefix: str = "faults.") -> None:
         """Publish injected-event counts, by fault class, as gauges."""

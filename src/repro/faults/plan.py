@@ -21,10 +21,13 @@ seeding; its value is the stdlib's, bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from _random import Random as _CRandom
 from dataclasses import dataclass, fields
 from hashlib import sha512
+
+from repro.errors import MeasurementError
 
 
 def seeded_uniform(key: "str | bytes") -> float:
@@ -39,6 +42,15 @@ def seeded_uniform(key: "str | bytes") -> float:
     """
     data = key.encode() if isinstance(key, str) else key
     return _CRandom(int.from_bytes(data + sha512(data).digest(), "big")).random()
+
+
+#: The plan fields that are probabilities; every other field but the
+#: seed is a count or a duration.
+_PROBABILITIES = frozenset((
+    "probe_loss", "rate_limit_share", "rate_limit_pass", "rdns_timeout",
+    "vp_flap", "lsp_flap", "stale_rdns", "worker_crash", "worker_stall",
+    "worker_slow",
+))
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,24 @@ class FaultPlan:
     worker_stall: float = 0.0
     worker_slow: float = 0.0
     worker_slow_ms: float = 100.0
+
+    def __post_init__(self) -> None:
+        """Refuse a plan no campaign can honour: a probability outside
+        [0, 1], or a negative count or duration."""
+        for name in self.__dataclass_fields__:
+            if name == "seed":
+                continue
+            value = getattr(self, name)
+            probability = name in _PROBABILITIES
+            try:
+                honoured = 0.0 <= value <= (1.0 if probability else math.inf)
+            except TypeError:
+                honoured = False
+            if not honoured:
+                wanted = "a probability in [0, 1]" if probability else "a number >= 0"
+                raise MeasurementError(
+                    f"fault plan {name} must be {wanted}, not {value!r}"
+                )
 
     # ------------------------------------------------------------------
     def _draw(self, *key: object) -> float:

@@ -36,7 +36,7 @@ from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import VantagePoint
 from repro.net.network import Network
 from repro.obs import MetricsRegistry, Tracer
-from repro.perf import InferenceCache, PhaseProfiler
+from repro.perf import InferenceCache
 from repro.rdns.regexes import HostnameParser
 from repro.topology.isp import (
     regional_co_addresses,
@@ -107,7 +107,6 @@ class CableInferencePipeline:
         shard_deadline: float = 60.0,
         max_shard_retries: int = 2,
         pace_ms: float = 0.0,
-        profile: bool = False,
         trace_seed: int = 0,
         corpus_format: str = "json",
     ) -> None:
@@ -131,6 +130,11 @@ class CableInferencePipeline:
         if not external:
             raise MeasurementError(
                 f"all vantage points are inside {isp.name}; none usable"
+            )
+        if min_vps > len(self.vps):
+            raise MeasurementError(
+                f"min_vps {min_vps} exceeds the {len(self.vps)} vantage "
+                f"points the pipeline probes {isp.name} from"
             )
         self.sweep_vps = max(1, min(sweep_vps, len(self.vps)))
         self.parser = HostnameParser()
@@ -182,9 +186,6 @@ class CableInferencePipeline:
         self.corpus_format = corpus_format
         self.obs = Tracer(seed=trace_seed)
         self.metrics = MetricsRegistry()
-        #: Phase-level wall-clock view over the span tree; None unless
-        #: requested (the spans are recorded either way).
-        self.profiler = PhaseProfiler(tracer=self.obs) if profile else None
         self._rdns_targets_memo: "tuple[int, list[str]] | None" = None
 
     # ------------------------------------------------------------------

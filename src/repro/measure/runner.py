@@ -25,7 +25,7 @@ failures:
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import CampaignInterrupted
 from repro.measure.traceroute import TraceResult, Tracerouter
@@ -73,31 +73,11 @@ class CampaignHealth:
     fault_stats: "dict[str, object]" = field(default_factory=dict)
 
     def as_dict(self) -> "dict[str, object]":
-        return {
-            "probes_sent": self.probes_sent,
-            "probes_lost": self.probes_lost,
-            "probes_refused": self.probes_refused,
-            "probes_retried": self.probes_retried,
-            "backoff_ms_total": round(self.backoff_ms_total, 3),
-            "traces_run": self.traces_run,
-            "empty_traces": self.empty_traces,
-            "vps_lost": list(self.vps_lost),
-            "vp_flap_retries": self.vp_flap_retries,
-            "targets_reassigned": self.targets_reassigned,
-            "targets_skipped": self.targets_skipped,
-            "resumed": self.resumed,
-            "interrupted": self.interrupted,
-            "degraded": self.degraded,
-            "shards_planned": self.shards_planned,
-            "shards_reused": self.shards_reused,
-            "shards_retried": self.shards_retried,
-            "shards_poisoned": self.shards_poisoned,
-            "workers_spawned": self.workers_spawned,
-            "workers_crashed": self.workers_crashed,
-            "workers_stalled": self.workers_stalled,
-            "workers_slow": self.workers_slow,
-            "fault_stats": dict(self.fault_stats),
-        }
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        payload["backoff_ms_total"] = round(self.backoff_ms_total, 3)
+        payload["vps_lost"] = list(self.vps_lost)
+        payload["fault_stats"] = dict(self.fault_stats)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: "dict[str, object]") -> "CampaignHealth":
@@ -195,6 +175,8 @@ class CampaignRunner:
         self.stop_after = stop_after
         self._executed = 0
         self.health = CampaignHealth()
+        #: The health's cost counters as the checkpoint left them.
+        self._restored_cost = (0,) * len(Tracerouter.COUNTERS)
         self.injector = tracer.network.faults
         if self.injector is not None:
             self.injector.register_fleet(self.fleet.names)
@@ -255,6 +237,9 @@ class CampaignRunner:
         runner = runner_cls(tracer, vps, checkpoint=checkpoint, **options)
         if resumed:
             runner.health = CampaignHealth.from_dict(checkpoint.health)
+            runner._restored_cost = tuple(
+                getattr(runner.health, name) for name in Tracerouter.COUNTERS
+            )
             runner.health.resumed = True
             runner.health.interrupted = False
         return runner
@@ -273,23 +258,13 @@ class CampaignRunner:
     # Execution
     # ------------------------------------------------------------------
     def _sync_health(self) -> None:
-        """Fold the tracer's cumulative counters into the health report.
+        """Refresh the health report from the tracer and the injector.
 
-        The tracer counts from zero each process; the health may have
-        been restored from a checkpoint, so deltas are tracked.
+        Each cost counter is the value restored at open plus the
+        tracer's total: the tracer counts this process only.
         """
-        counters = self.tracer.counters()
-        base = getattr(self, "_counter_base", None)
-        if base is None:
-            base = {key: 0 for key in counters}
-        delta = {key: counters[key] - base[key] for key in counters}
-        self._counter_base = counters
-        self.health.probes_sent += int(delta["probes_sent"])
-        self.health.probes_lost += int(delta["probes_lost"])
-        self.health.probes_refused += int(delta["probes_refused"])
-        self.health.probes_retried += int(delta["probes_retried"])
-        self.health.backoff_ms_total += delta["backoff_ms_total"]
-        self.health.traces_run += int(delta["traces_run"])
+        for name, restored in zip(Tracerouter.COUNTERS, self._restored_cost):
+            setattr(self.health, name, restored + getattr(self.tracer, name))
         if self.injector is not None:
             self.health.fault_stats = self.injector.stats.as_dict()
         if self.metrics is not None:
@@ -303,8 +278,8 @@ class CampaignRunner:
         """One actual traceroute — the seam execution strategies override.
 
         The serial runner probes synchronously; the supervised runner
-        substitutes a speculatively-computed trace (replaying its probe
-        counters onto this tracer) when one is available.
+        substitutes a speculatively-computed trace (charging its cost
+        record to this tracer) when one is available.
         """
         return self.tracer.trace(
             vp.host, target, flow_id=flow_id, src_address=vp.src_address
@@ -354,7 +329,6 @@ class CampaignRunner:
         jobs: "list[tuple[VantagePoint, str]]",
         stage: str = "campaign",
         flow_id: int = 0,
-        keep_empty: bool = False,
     ) -> "list[TraceResult]":
         """Execute a stage's jobs; returns its (possibly partial) traces.
 
@@ -372,9 +346,9 @@ class CampaignRunner:
         """
         with gc_paused():
             if self.obs is None:
-                return self._run_stage(jobs, stage, flow_id, keep_empty)
+                return self._run_stage(jobs, stage, flow_id)
             with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
-                traces = self._run_stage(jobs, stage, flow_id, keep_empty)
+                traces = self._run_stage(jobs, stage, flow_id)
                 span.attributes["traces"] = len(traces)
                 span.attributes["skipped"] = self.health.targets_skipped
                 return traces
@@ -393,7 +367,6 @@ class CampaignRunner:
         jobs: "list[tuple[VantagePoint, str]]",
         stage: str,
         flow_id: int,
-        keep_empty: bool,
     ) -> "list[TraceResult]":
         done: "set[tuple[str, str]]" = set()
         traces: "list[TraceResult]" = []
@@ -425,7 +398,7 @@ class CampaignRunner:
                     continue
                 if trace is None:
                     self.health.targets_skipped += 1
-                elif trace.hops or keep_empty:
+                elif trace.hops:
                     traces.append(trace)
                 else:
                     self.health.empty_traces += 1

@@ -13,8 +13,9 @@ guarantee:
    Each worker rebuilds its own substrate from a picklable
    :class:`~repro.measure.substrates.WorkerSpec` (substrates are pure
    functions of seed and flags), probes its shard's jobs, heartbeats
-   between jobs, and returns serialized traces plus the per-job probe
-   counter and fault-stat deltas each trace cost.  The supervisor
+   between jobs, and returns each serialized trace with its cost
+   record: what the trace added to the tracer's counters and to the
+   per-trace fault counts.  The supervisor
    enforces per-shard heartbeat liveness and a wall-clock deadline,
    kills and replaces workers that crash or stall, retries failed
    shards with exponential backoff on a fresh worker, and — after a
@@ -23,7 +24,7 @@ guarantee:
 3. **Replay** — the serial stage loop drives the pool as a pump: on
    reaching a job whose shard has not settled it pumps until the shard
    is done or poisoned, then its ``_run_trace`` seam consumes the
-   speculative trace and applies its deltas, so checkpoints, health
+   speculative trace and charges its cost, so checkpoints, health
    accounting, VP-death thresholds, and the final corpus match a
    serial run byte for byte.  VP death and the failover it causes
    depend on cross-VP ordering, so they are resolved entirely here: a
@@ -51,9 +52,10 @@ import signal
 import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
+from operator import attrgetter, sub
 
 from repro.errors import MeasurementError
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.plan import FaultPlan
 from repro.measure.runner import CampaignRunner
 from repro.measure.shard import Shard, plan_shards
@@ -76,31 +78,24 @@ _STALL_SLEEP_S = 3600.0
 _BOOT_TIMEOUT_S = 60.0
 #: Supervisor poll tick (seconds) while waiting for worker messages.
 _POLL_TICK_S = 0.05
+#: Base of a failed shard's exponential retry backoff (seconds).
+_RETRY_BACKOFF_S = 0.05
 #: Shards queued per worker.  Depth 2 keeps a worker probing its next
 #: shard while the supervisor ingests its last one; without it the two
 #: sides ping-pong (worker idle during ingest, supervisor idle during
 #: probing) and the pool runs no faster than serial.
 _PREFETCH_DEPTH = 2
-#: Fault-stat fields incremented on the probe path (inside a single
-#: trace) — the ones speculation must capture and replay.  VP flaps and
-#: deaths happen in the runner loop; stale lookups happen at inference
-#: time.  Both therefore never occur inside a worker.
-_TRACE_FAULT_FIELDS = ("probes_lost", "rate_limited", "rdns_timeouts", "lsp_flaps")
+#: A worker's running totals, in cost-record order: the tracer's
+#: counters, then the fault counts one trace can move.  A job's cost
+#: record is the difference of the totals after and before its trace.
+_tracer_totals = attrgetter(*Tracerouter.COUNTERS)
+_fault_totals = attrgetter(*FaultStats.TRACE_COUNTS)
+#: Where a cost record's tracer counts end and its fault counts begin.
+_TRACER_COST = len(Tracerouter.COUNTERS)
 #: What a recycled worker's failure charges: a (CampaignHealth field,
 #: FaultStats field) pair.  A worker that fails to boot charges neither.
 _CRASH = ("workers_crashed", "worker_crashes")
 _STALL = ("workers_stalled", "worker_stalls")
-
-
-class _Speculative:
-    """One precomputed job: the trace plus the counters it cost."""
-
-    __slots__ = ("trace", "tracer_delta", "fault_delta")
-
-    def __init__(self, trace, tracer_delta, fault_delta) -> None:
-        self.trace = trace
-        self.tracer_delta = tracer_delta
-        self.fault_delta = fault_delta
 
 
 def _die_hard() -> None:
@@ -111,15 +106,14 @@ def _die_hard() -> None:
     os._exit(1)
 
 
-def _run_shard(conn, tracer, vps, injector, shard, attempt, heartbeat_interval):
+def _run_shard(conn, tracer, vps, stats, plan, shard, attempt, heartbeat_interval):
     """Execute one shard's jobs; returns ``(results, slow)``.
 
-    Results are ``(vp_name, target, trace_row, tracer_delta,
-    fault_delta)`` tuples in job order — exactly the payload
-    :meth:`SupervisedCampaignRunner._ingest` replays.
+    Results are ``(vp_name, target, trace_row, cost)`` tuples in job
+    order — exactly the payload :meth:`SupervisedCampaignRunner._ingest`
+    replays.
     """
     conn.send(("start", shard.shard_id, attempt))
-    plan = injector.plan if injector is not None else None
     crash_at = stall_at = None
     slow = False
     if plan is not None:
@@ -135,12 +129,7 @@ def _run_shard(conn, tracer, vps, injector, shard, attempt, heartbeat_interval):
             slow = True
             time.sleep(plan.worker_slow_ms / 1000.0)
     results = []
-    counters_before = tracer.counters()
-    faults_before = (
-        {name: getattr(injector.stats, name) for name in _TRACE_FAULT_FIELDS}
-        if injector is not None
-        else None
-    )
+    before = _tracer_totals(tracer) + _fault_totals(stats)
     last_heartbeat = time.monotonic()
     for index, (vp_name, target) in enumerate(shard.jobs):
         if crash_at is not None and index == crash_at:
@@ -156,26 +145,10 @@ def _run_shard(conn, tracer, vps, injector, shard, attempt, heartbeat_interval):
             vp.host, target, flow_id=shard.flow_id, src_address=vp.src_address
         )
         trace.vp_name = vp_name
-        counters_after = tracer.counters()
-        tracer_delta = {
-            key: counters_after[key] - counters_before[key]
-            for key in counters_after
-        }
-        counters_before = counters_after
-        fault_delta = None
-        if injector is not None:
-            faults_after = {
-                name: getattr(injector.stats, name)
-                for name in _TRACE_FAULT_FIELDS
-            }
-            fault_delta = {
-                name: faults_after[name] - faults_before[name]
-                for name in _TRACE_FAULT_FIELDS
-            }
-            faults_before = faults_after
-        results.append(
-            (vp_name, target, trace_to_row(trace), tracer_delta, fault_delta)
-        )
+        after = _tracer_totals(tracer) + _fault_totals(stats)
+        cost = tuple(map(sub, after, before))
+        before = after
+        results.append((vp_name, target, trace_to_row(trace), cost))
         now = time.monotonic()
         if now - last_heartbeat >= heartbeat_interval:
             conn.send(("hb", shard.shard_id, index + 1))
@@ -193,7 +166,8 @@ def _worker_main(conn, spec, plan_payload, tracer_config, heartbeat_interval):
     ``("done", shard_id, attempt, results, slow)`` per completed shard,
     ``("error", shard_id, attempt, message)`` when a shard raises.
     Supervisor → worker: ``("shard", Shard, attempt)`` and
-    ``("stop",)``.
+    ``("stop",)``.  A worker whose supervisor is gone (a closed pipe on
+    any send or receive) returns quietly.
     """
     tracer, vps = spec.build()
     tracer.max_ttl = tracer_config["max_ttl"]
@@ -201,29 +175,38 @@ def _worker_main(conn, spec, plan_payload, tracer_config, heartbeat_interval):
     tracer.attempts = tracer_config["attempts"]
     tracer.backoff_ms = tracer_config["backoff_ms"]
     tracer.pace_ms = tracer_config.get("pace_ms", 0.0)
-    injector = None
+    plan = None
+    # Without a fault plan nothing moves the fault counts: every cost
+    # record carries zeros for them.
+    stats = FaultStats()
     if plan_payload is not None:
-        injector = FaultInjector(FaultPlan.from_dict(plan_payload))
+        plan = FaultPlan.from_dict(plan_payload)
+        injector = FaultInjector(plan)
         tracer.network.attach_faults(injector)
-    conn.send(("ready",))
-    while True:
-        message = conn.recv()
-        if message[0] == "stop":
-            return
-        _, shard, attempt = message
-        try:
-            with gc_paused():
-                results, slow = _run_shard(
-                    conn, tracer, vps, injector, shard, attempt,
-                    heartbeat_interval,
+        stats = injector.stats
+    try:
+        conn.send(("ready",))
+        while True:
+            message = conn.recv()
+            if message[0] == "stop":
+                return
+            _, shard, attempt = message
+            try:
+                with gc_paused():
+                    results, slow = _run_shard(
+                        conn, tracer, vps, stats, plan, shard, attempt,
+                        heartbeat_interval,
+                    )
+            except Exception as exc:  # noqa: BLE001 - reported to supervisor
+                conn.send(
+                    ("error", shard.shard_id, attempt,
+                     f"{type(exc).__name__}: {exc}")
                 )
-        except Exception as exc:  # noqa: BLE001 - reported to supervisor
-            conn.send(
-                ("error", shard.shard_id, attempt,
-                 f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        conn.send(("done", shard.shard_id, attempt, results, slow))
+                continue
+            conn.send(("done", shard.shard_id, attempt, results, slow))
+    except (BrokenPipeError, EOFError, OSError):
+        # The supervisor is gone: nobody is left to report to.
+        return
 
 
 class _Worker:
@@ -286,7 +269,6 @@ class SupervisedCampaignRunner(CampaignRunner):
         max_shard_retries: int = 2,
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 2.0,
-        retry_backoff_s: float = 0.05,
         quarantine: "QuarantineReport | None" = None,
         obs=None,
         metrics=None,
@@ -297,14 +279,14 @@ class SupervisedCampaignRunner(CampaignRunner):
             stop_after=stop_after, obs=obs, metrics=metrics,
         )
         self.workers = max(1, int(workers))
-        self._speculative: "dict[tuple[str, str, int], _Speculative]" = {}
+        #: (vp name, target, flow id) -> the worker's (trace, cost record).
+        self._speculative: "dict[tuple[str, str, int], tuple[TraceResult, tuple]]" = {}
         self.worker_spec = worker_spec
         self.shard_size = shard_size
         self.shard_deadline = float(shard_deadline)
         self.max_shard_retries = max(0, int(max_shard_retries))
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.retry_backoff_s = float(retry_backoff_s)
         self.quarantine = (
             quarantine if quarantine is not None
             else QuarantineReport(policy="lenient")
@@ -334,29 +316,16 @@ class SupervisedCampaignRunner(CampaignRunner):
             # Runs synchronously on the canonical substrate, exactly as
             # the serial runner would.
             return super()._run_trace(vp, target, flow_id)
-        tracer = self.tracer
-        delta = speculative.tracer_delta
-        tracer.probes_sent += int(delta["probes_sent"])
-        tracer.traces_run += int(delta["traces_run"])
-        tracer.probes_lost += int(delta["probes_lost"])
-        tracer.probes_refused += int(delta["probes_refused"])
-        tracer.probes_retried += int(delta["probes_retried"])
-        tracer.backoff_ms_total += delta["backoff_ms_total"]
-        if self.injector is not None and speculative.fault_delta is not None:
-            stats = self.injector.stats
-            for name in _TRACE_FAULT_FIELDS:
-                setattr(
-                    stats, name,
-                    getattr(stats, name) + speculative.fault_delta[name],
-                )
-        return speculative.trace
+        trace, cost = speculative
+        self.tracer.charge(cost[:_TRACER_COST])
+        if self.injector is not None:
+            self.injector.stats.charge(cost[_TRACER_COST:])
+        return trace
 
-    def run(self, jobs, stage="campaign", flow_id=0, keep_empty=False):
+    def run(self, jobs, stage="campaign", flow_id=0):
         shards = self._plan(jobs, stage, flow_id)
         if not shards:
-            return super().run(
-                jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
-            )
+            return super().run(jobs, stage=stage, flow_id=flow_id)
         self.health.shards_planned += len(shards)
         attempts: "dict[str, int]" = {}
         outcomes: "dict[str, str]" = {}
@@ -369,9 +338,7 @@ class SupervisedCampaignRunner(CampaignRunner):
         try:
             with supervise as span:
                 # The stage pumps the pool, with the collector paused.
-                traces = super().run(
-                    jobs, stage=stage, flow_id=flow_id, keep_empty=keep_empty
-                )
+                traces = super().run(jobs, stage=stage, flow_id=flow_id)
                 # Every shard has settled; this runs the pool's epilogue.
                 for _ in self._pool:
                     pass
@@ -440,12 +407,10 @@ class SupervisedCampaignRunner(CampaignRunner):
     def _ingest(self, shard: Shard, results) -> None:
         """Install one shard's worker results into the speculation table."""
         hops = 0
-        for vp_name, target, trace_payload, tracer_delta, fault_delta in results:
-            trace = trace_from_row(trace_payload)
+        for vp_name, target, row, cost in results:
+            trace = trace_from_row(row)
             hops += len(trace.hops)
-            self._speculative[(vp_name, target, shard.flow_id)] = _Speculative(
-                trace, tracer_delta, fault_delta
-            )
+            self._speculative[(vp_name, target, shard.flow_id)] = (trace, cost)
         self._unsettled.difference_update(shard.jobs)
         if self.metrics is not None:
             # Shard-merge corpus accounting: how much trace volume each
@@ -529,7 +494,7 @@ class SupervisedCampaignRunner(CampaignRunner):
             else:
                 self.health.shards_retried += 1
                 backoff = (
-                    self.retry_backoff_s
+                    _RETRY_BACKOFF_S
                     * (2 ** (made - 1))
                     * (0.5 + jitter_plan.retry_jitter(shard.shard_id, made))
                 )

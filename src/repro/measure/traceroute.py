@@ -202,16 +202,21 @@ class Tracerouter:
         #: Router uid -> (path prefix, its transit steps), same scope.
         self._transits: "dict[str, tuple[list, tuple[PlanStep, ...]]]" = {}
 
+    #: The campaign-cost counters, in the order a supervised worker's
+    #: per-trace cost record carries them.
+    COUNTERS = (
+        "probes_sent", "traces_run", "probes_lost", "probes_refused",
+        "probes_retried", "backoff_ms_total",
+    )
+
     def counters(self) -> "dict[str, float]":
         """Snapshot of the campaign-cost counters."""
-        return {
-            "probes_sent": self.probes_sent,
-            "traces_run": self.traces_run,
-            "probes_lost": self.probes_lost,
-            "probes_refused": self.probes_refused,
-            "probes_retried": self.probes_retried,
-            "backoff_ms_total": self.backoff_ms_total,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
+    def charge(self, cost) -> None:
+        """Add *cost*, amounts in :attr:`COUNTERS` order, to the counters."""
+        for name, amount in zip(self.COUNTERS, cost):
+            setattr(self, name, getattr(self, name) + amount)
 
     def publish_metrics(self, metrics, prefix: str = "tracer.") -> None:
         """Publish the cumulative counters as ``tracer.*`` gauges.

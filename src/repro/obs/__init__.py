@@ -5,7 +5,8 @@ Zero-dependency instrumentation threaded through the whole stack:
 * :mod:`repro.obs.span` — hierarchical :class:`Span`/:class:`Tracer`
   with a context-manager API, monotonic timings, and
   seeded-deterministic span ids (two equal-seed runs produce
-  structurally identical trees);
+  structurally identical trees), and the ``--profile`` report read off
+  that tree;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and histograms populated by the fault injector, the
   tracerouter, the validators, and the perf caches;
@@ -26,7 +27,7 @@ from repro.obs.manifest import (
     write_run_manifest,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.span import Span, Tracer
+from repro.obs.span import Span, Tracer, phase_report
 
 __all__ = [
     "MANIFEST_KIND",
@@ -38,6 +39,7 @@ __all__ = [
     "Tracer",
     "build_run_manifest",
     "fault_plan_digest",
+    "phase_report",
     "run_manifest_from_json",
     "run_manifest_to_json",
     "sha256_bytes",

@@ -16,8 +16,8 @@ spans in shard-id order once the pool completes.  That is a design
 rule, not an accident: it keeps the tree identical regardless of
 scheduling, and it keeps the tracer free of locks.
 
-The pre-existing :class:`~repro.perf.profile.PhaseProfiler` is a view
-over this tree: its per-phase totals are :meth:`Tracer.phase_totals`.
+The ``--profile`` report (:func:`phase_report`) is read off this
+tree: its per-phase totals are :meth:`Tracer.phase_totals`.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class Tracer:
     def phase_totals(self) -> "dict[str, float]":
         """Top-level span durations summed by name, in first-seen order.
 
-        This is exactly the ``PhaseProfiler`` accounting: child spans
+        This is the :func:`phase_report` accounting: child spans
         (campaign stages inside ``collect``) are already included in
         their parent's duration and are not double-counted.
         """
@@ -174,3 +174,27 @@ class Tracer:
             "spans": self.as_dicts(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def phase_report(tracer: Tracer) -> "list[str]":
+    """The ``--profile`` lines: each top-level phase's wall-clock time
+    and share, then the total and this process's peak RSS.
+
+    ``ru_maxrss`` is KiB on Linux and bytes on macOS; it is monotone
+    over the process lifetime.
+    """
+    import resource
+    import sys
+
+    phases = tracer.phase_totals()
+    total = sum(phases.values())
+    lines = []
+    for name, seconds in phases.items():
+        share = 100.0 * seconds / total if total else 0.0
+        lines.append(f"{name:<16} {seconds:8.3f}s  {share:5.1f}%")
+    lines.append(f"{'total':<16} {total:8.3f}s")
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        peak_kb /= 1024
+    lines.append(f"{'peak rss':<16} {peak_kb / 1024.0:8.1f} MiB")
+    return lines

@@ -45,9 +45,9 @@ def load_job_corpus(job_dir: "str | pathlib.Path", record) -> TraceCorpus:
     ``corpus.npz`` loads through the schema-validated binary container;
     ``corpus.json`` is the legacy bare trace list, checked entry by
     entry against the trace-corpus trace schema and lifted through the
-    JSON trace codec into a columnar corpus.  A job without a corpus
-    artifact (e.g. ``map-cable``, which exports region topologies
-    instead) or with a corrupt one raises :class:`ServiceError`.
+    JSON trace codec into a columnar corpus.  Both job kinds export a
+    corpus; a job without a corpus artifact or with a corrupt one
+    raises :class:`ServiceError`.
     """
     job_dir = pathlib.Path(job_dir)
     if "corpus.npz" in record.artifacts:
@@ -78,8 +78,8 @@ def iter_finished_corpora(store, after_seq: int = 0):
     Jobs stream in submission order (``submitted_seq``), skipping those
     at or below *after_seq* — the cursor contract the bias lab's
     incremental ingestion uses to resume where it left off.  Jobs
-    without a corpus (e.g. ``map-cable``) are silently skipped; a *done*
-    job whose corpus is corrupt still raises, as in the diff endpoint.
+    without a corpus artifact are silently skipped; a *done* job whose
+    corpus is corrupt still raises, as in the diff endpoint.
     """
     records = sorted(store.jobs.values(), key=lambda r: r.submitted_seq)
     for record in records:

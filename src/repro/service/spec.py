@@ -30,7 +30,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import ServiceError
+from repro.errors import MeasurementError, ServiceError
 from repro.validate.schema import ARTIFACT_VERSIONS, parse_artifact, validate_artifact
 
 #: The degradation ladder, highest fidelity first.  ``degrade`` steps
@@ -93,6 +93,12 @@ class JobSpec:
             raise ServiceError(
                 f"unknown fault-plan field(s) {', '.join(unknown)}"
             )
+        # Built once here so a plan that cannot be honoured is refused
+        # at submission, not charged attempt after attempt.
+        try:
+            FaultPlan(**self.faults)
+        except MeasurementError as exc:
+            raise ServiceError(str(exc)) from None
         if self.corpus_format not in ("json", "binary"):
             raise ServiceError(
                 f"unknown corpus format {self.corpus_format!r}; expected "

@@ -1,9 +1,8 @@
-"""Columnar corpus core: lossless round-trips, zero-copy slicing, and
-the vectorized primitives against their object-graph references."""
+"""Columnar corpus core: lossless round-trips and the vectorized
+primitives against their object-graph references."""
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.corpus import CorpusBuilder, TraceCorpus, adjacent_pair_counts
@@ -67,36 +66,6 @@ class TestRoundTrip:
         # NaN rtt cells must compare equal to themselves (equal_nan).
         corpus = TraceCorpus.from_traces(rich_traces())
         assert corpus == TraceCorpus.from_traces(corpus.to_traces())
-
-
-class TestZeroCopySlicing:
-    def test_slice_shares_buffers_and_tables(self):
-        corpus = TraceCorpus.from_traces(rich_traces())
-        sliced = corpus.slice_traces(0, 2)
-        assert len(sliced) == 2
-        for name in ("addr_id", "hop_idx", "rtt", "src_id", "completed"):
-            assert np.shares_memory(
-                getattr(sliced, name), getattr(corpus, name)
-            ), name
-        assert sliced.addresses is corpus.addresses
-        assert sliced.vps is corpus.vps
-
-    def test_slice_matches_object_slice(self):
-        traces = rich_traces()
-        corpus = TraceCorpus.from_traces(traces)
-        assert _dicts(corpus.slice_traces(1, 3).to_traces()) == \
-            _dicts(traces[1:3])
-
-    def test_slice_clamps_bounds(self):
-        corpus = TraceCorpus.from_traces(rich_traces())
-        assert len(corpus.slice_traces(-5, 99)) == len(corpus)
-        assert len(corpus.slice_traces(2, 1)) == 0
-
-    def test_split_covers_every_trace_in_order(self):
-        traces = rich_traces()
-        shards = TraceCorpus.from_traces(traces).split(2)
-        recovered = [t for shard in shards for t in shard.to_traces()]
-        assert _dicts(recovered) == _dicts(traces)
 
 
 class TestCorpusBuilder:

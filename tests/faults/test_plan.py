@@ -1,5 +1,8 @@
 """FaultPlan: seeded, order-independent, no-op by default."""
 
+import pytest
+
+from repro.errors import MeasurementError
 from repro.faults import FaultPlan
 
 
@@ -95,6 +98,26 @@ class TestSerialization:
 
     def test_from_dict_ignores_unknown_keys(self):
         assert FaultPlan.from_dict({"seed": 1, "future_field": 3}).seed == 1
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", [
+        "probe_loss", "rate_limit_share", "rate_limit_pass", "rdns_timeout",
+        "vp_flap", "lsp_flap", "stale_rdns", "worker_crash", "worker_stall",
+        "worker_slow",
+    ])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_probabilities_outside_the_unit_interval_rejected(self, field, value):
+        with pytest.raises(MeasurementError, match=f"{field} must be a probability"):
+            FaultPlan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["vp_dropout", "vp_dropout_after", "worker_slow_ms"])
+    def test_negative_counts_and_durations_rejected(self, field):
+        with pytest.raises(MeasurementError, match=f"{field} must be a number >= 0"):
+            FaultPlan(**{field: -1})
+
+    def test_bounds_accepted(self):
+        FaultPlan(seed=-3, probe_loss=1.0, worker_crash=0.0, vp_dropout=0, worker_slow_ms=0.0)
 
 
 class TestWorkerFaults:

@@ -1,11 +1,13 @@
 """Pipeline observability on the one-region campaign: span ids follow
-the trace seed, and the profiler reports every phase.
+the trace seed, and the profile report lists every phase.
 
 Serial and supervised runs are compared in
 ``tests/integration/test_parity_matrix.py``.
 """
 
 from region_pipeline import RegionPipeline
+
+from repro.obs import phase_report
 
 
 class TestParallelPipelineParity:
@@ -29,12 +31,11 @@ class TestParallelPipelineParity:
     def test_profiler_reported_phases(self, internet, standard_vps):
         pipeline = RegionPipeline(
             internet.network, internet.comcast, standard_vps, sweep_vps=2,
-            profile=True,
         )
         pipeline.run()
-        report = pipeline.profiler.as_dict()
-        assert set(report["phases_s"]) == {
+        report = phase_report(pipeline.obs)
+        assert {line.split()[0] for line in report[:-2]} == {
             "collect", "aliases", "ip2co", "adjacency", "refine", "entries"
         }
-        assert report["total_s"] > 0
-        assert report["peak_rss_kb"] > 0
+        assert float(report[-2].split()[1].rstrip("s")) > 0
+        assert float(report[-1].split()[2]) > 0

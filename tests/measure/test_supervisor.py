@@ -9,12 +9,14 @@ from the replay's checkpoint.
 
 import json
 import multiprocessing
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import CampaignInterrupted
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, FaultStats
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
 from repro.measure.shard import plan_shards
@@ -89,6 +91,37 @@ class TestWireFormat:
         # lists; rebuilding must accept that form too.
         relisted = json.loads(json.dumps(row))
         assert trace_to_dict(trace_from_row(relisted)) == trace_to_dict(trace)
+
+
+    def test_a_job_crosses_the_pipe_as_one_cost_record(self):
+        # A worker's job is (vp, target, row, cost): the cost is what the
+        # trace added to the tracer's counters, then to the per-trace
+        # fault counts, as one tuple.
+        plan = FaultPlan(seed=7, probe_loss=0.3)
+        tracer, vps = toy_substrate(hosts=1)
+        injector = FaultInjector(plan)
+        tracer.network.attach_faults(injector)
+        jobs = [("vp0", target) for target in TARGETS[:5]]
+        shard = plan_shards(jobs, "s", shard_size=5)[0]
+        sent = []
+        results, slow = supervisor_module._run_shard(
+            SimpleNamespace(send=sent.append), tracer, vps, injector.stats,
+            plan, shard, 1, 60.0,
+        )
+        assert sent == [("start", shard.shard_id, 1)]
+        assert not slow
+        assert [result[:2] for result in results] == jobs
+        costs = [result[3] for result in results]
+        width = len(Tracerouter.COUNTERS)
+        assert all(len(cost) == width + len(FaultStats.TRACE_COUNTS) for cost in costs)
+        charged = Tracerouter(tracer.network)
+        stats = FaultStats()
+        for cost in costs:
+            charged.charge(cost[:width])
+            stats.charge(cost[width:])
+        assert charged.counters() == tracer.counters()
+        assert stats == injector.stats
+        assert stats.probes_lost > 0
 
 
 class TestFaultFreeParity:
@@ -243,6 +276,11 @@ class _FakeProcess:
         pass
 
 
+#: A cost record that charges nothing: every tracer counter and every
+#: per-trace fault count moved by zero.
+_NO_COST = (0,) * (len(Tracerouter.COUNTERS) + len(FaultStats.TRACE_COUNTS))
+
+
 class _ScriptedWorkers:
     """Two in-process stand-ins for spawned workers, W and V.
 
@@ -296,8 +334,7 @@ class _ScriptedWorkers:
             trace = self.tracer.trace(vp.host, target, flow_id=shard.flow_id,
                                       src_address=vp.src_address)
             trace.vp_name = vp_name
-            delta = {key: 0 for key in self.tracer.counters()}
-            rows.append((vp_name, target, trace_to_row(trace), delta, None))
+            rows.append((vp_name, target, trace_to_row(trace), _NO_COST))
         self.ends["WV".index(name)].send(("done", shard.shard_id, 1, rows, False))
 
 
@@ -574,3 +611,38 @@ class TestGracefulShutdown:
         assert corpus == _serial_corpus()
         assert resumed.health.resumed
         assert not resumed.health.interrupted
+
+
+TRACER_CONFIG = {"max_ttl": 32, "jitter_ms": 0.05, "attempts": 1, "backoff_ms": 0.3}
+
+
+class TestOrphanedWorker:
+    """A worker whose supervisor is gone returns quietly."""
+
+    def test_gone_before_ready(self):
+        parent, child = multiprocessing.Pipe()
+        parent.close()
+        supervisor_module._worker_main(child, SPEC, None, TRACER_CONFIG, 0.2)
+
+    def test_gone_after_a_shard_was_sent(self):
+        parent, child = multiprocessing.Pipe()
+        raised = []
+
+        def serve():
+            try:
+                # Heartbeat after every job, so the worker keeps sending.
+                supervisor_module._worker_main(child, SPEC, None, TRACER_CONFIG, 0.0)
+            except BaseException as exc:  # noqa: BLE001 - the test's verdict
+                raised.append(exc)
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        assert parent.recv() == ("ready",)
+        _, vps = toy_substrate(hosts=3)
+        jobs = [(name, target) for name in vps for target in TARGETS]
+        parent.send(("shard", plan_shards(jobs, "s", shard_size=len(jobs))[0], 1))
+        assert parent.recv()[0] == "start"
+        parent.close()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert raised == []

@@ -14,6 +14,7 @@ from repro.obs import (
     Tracer,
     build_run_manifest,
     fault_plan_digest,
+    phase_report,
     run_manifest_from_json,
     run_manifest_to_json,
     sha256_text,
@@ -49,19 +50,18 @@ class TestBuild:
         validate_artifact(_sample_manifest(), kind="run-manifest")
 
     def test_stage_summaries_agree_with_profiler(self):
-        from repro.perf import PhaseProfiler
-
         tracer = Tracer(seed=1)
-        profiler = PhaseProfiler(tracer=tracer)
-        with profiler.phase("ip2co"):
+        with tracer.span("ip2co"):
             pass
-        with profiler.phase("adjacency"):
+        with tracer.span("adjacency"):
             pass
         manifest = build_run_manifest(command="bench", seed=1, tracer=tracer)
         stage_totals = {
             stage["name"]: stage["duration_s"] for stage in manifest["stages"]
         }
-        for name, seconds in profiler.phases.items():
+        report = phase_report(tracer)
+        assert [line.split()[0] for line in report[:-2]] == list(stage_totals)
+        for name, seconds in tracer.phase_totals().items():
             assert stage_totals[name] == pytest.approx(seconds, abs=1e-6)
 
     def test_artifact_digests(self):

@@ -1,10 +1,10 @@
 """Span tree semantics: nesting, determinism, error status, and the
-PhaseProfiler-as-view contract."""
+views read off the tree (phase totals, stage summaries, the profile
+report)."""
 
 import pytest
 
-from repro.obs import Span, Tracer
-from repro.perf import PhaseProfiler
+from repro.obs import Span, Tracer, phase_report
 
 
 def _sample_run(tracer):
@@ -128,6 +128,21 @@ class TestViews:
             sum(s.duration_s for s in refine_spans)
         )
 
+    def test_phase_report_is_read_off_the_phase_totals(self):
+        tracer = Tracer(seed=0)
+        _sample_run(tracer)
+        lines = phase_report(tracer)
+        assert [line.split()[0] for line in lines] == [
+            "collect", "refine", "total", "peak",
+        ]
+        seconds = {
+            line.split()[0]: float(line.split()[1].rstrip("s"))
+            for line in lines[:2]
+        }
+        for name, total in tracer.phase_totals().items():
+            assert seconds[name] == pytest.approx(total, abs=1e-3)
+        assert lines[-1].startswith("peak rss") and lines[-1].endswith("MiB")
+
     def test_stage_summaries_count_descendants(self):
         tracer = Tracer()
         _sample_run(tracer)
@@ -145,46 +160,6 @@ class TestViews:
         assert payload["kind"] == "span-trace"
         assert payload["seed"] == 11
         assert len(payload["spans"]) == 5
-
-
-class TestPhaseProfilerView:
-    def test_profiler_phases_are_tracer_phase_totals(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("ip2co"):
-            pass
-        with profiler.phase("adjacency"):
-            pass
-        with profiler.phase("ip2co"):
-            pass
-        assert profiler.phases == profiler.tracer.phase_totals()
-        assert list(profiler.phases) == ["ip2co", "adjacency"]
-        assert profiler.total_seconds == pytest.approx(
-            sum(profiler.phases.values())
-        )
-
-    def test_profiler_over_shared_tracer_sees_outer_spans(self):
-        tracer = Tracer(seed=0)
-        profiler = PhaseProfiler(tracer=tracer)
-        with tracer.span("collect"):
-            pass
-        with profiler.phase("refine"):
-            pass
-        assert set(profiler.phases) == {"collect", "refine"}
-
-    def test_report_format_unchanged(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("ip2co"):
-            pass
-        report = "\n".join(profiler.report())
-        assert "ip2co" in report and "total" in report and "peak rss" in report
-
-    def test_as_dict_shape(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("ip2co"):
-            pass
-        payload = profiler.as_dict()
-        assert set(payload) == {"phases_s", "total_s", "peak_rss_kb"}
-        assert set(payload["phases_s"]) == {"ip2co"}
 
 
 class TestSpanDataclass:

@@ -27,6 +27,14 @@ class TestValidation:
         with pytest.raises(ServiceError, match="unknown fault-plan field"):
             JobSpec(faults={"probe_loss": 0.1, "gamma_rays": 1.0})
 
+    @pytest.mark.parametrize("faults", [
+        {"probe_loss": 1.5}, {"worker_crash": -0.1}, {"vp_dropout": -1},
+    ])
+    def test_a_plan_that_cannot_be_honoured_is_rejected(self, faults):
+        # Refused at submission, not charged attempt after attempt.
+        with pytest.raises(ServiceError, match="fault plan"):
+            JobSpec(faults=faults)
+
     def test_known_fault_fields_accepted(self):
         spec = JobSpec(faults={"probe_loss": 0.2, "worker_crash": 0.1})
         assert spec.faults["probe_loss"] == 0.2

@@ -200,3 +200,61 @@ class TestCorruptCheckpointResume:
         assert err.startswith("error:")
         assert "\n" not in err
         assert "Traceback" not in err
+
+
+@pytest.fixture
+def traces_run(monkeypatch):
+    """Counts every traceroute the command under test runs."""
+    from repro.measure.traceroute import Tracerouter
+
+    calls = []
+    trace = Tracerouter.trace
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracerouter, "trace", counted)
+    return calls
+
+
+class TestUnhonourableConfigRefused:
+    """A configuration the campaign cannot honour is one ``error:`` line
+    and exit 3 before any probing, not a run that quietly loses it."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--faults", "1.5"], "probe_loss must be a probability in [0, 1]"),
+        (["--min-vps", "100"], "min_vps 100 exceeds"),
+        (["--worker-crash", "0.5"], "need --workers 2 or more"),
+    ], ids=["faults-above-1", "min-vps-above-fleet", "worker-chaos-serial"])
+    def test_refused_before_probing(self, flags, message, capsys, traces_run):
+        code = main(["map-cable", "charter", "--sweep-vps", "1", *flags])
+        assert code == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert message in err
+        assert "regions inferred" not in captured.out
+        assert traces_run == []
+
+
+class TestProfileReport:
+    def test_one_line_per_phase_then_total_and_peak_rss(self, capsys, monkeypatch):
+        from repro.infer.pipeline import CableInferencePipeline
+
+        for name in ("slash24_targets", "rdns_targets"):
+            full = getattr(CableInferencePipeline, name)
+            monkeypatch.setattr(CableInferencePipeline, name, lambda self, full=full: full(self)[:8])
+        assert main(["map-cable", "charter", "--sweep-vps", "1", "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("collect "))
+        report = lines[start:start + 8]
+        assert [line.split()[0] for line in report] == [
+            "collect", "aliases", "ip2co", "adjacency", "refine", "entries", "total", "peak",
+        ]
+        for line in report[:6]:
+            seconds, share = line.split()[1:]
+            assert seconds.endswith("s") and share.endswith("%")
+        phases = sum(float(line.split()[1].rstrip("s")) for line in report[:6])
+        assert float(report[6].split()[1].rstrip("s")) == pytest.approx(phases, abs=0.01)
+        assert report[7].startswith("peak rss") and report[7].endswith(" MiB")
