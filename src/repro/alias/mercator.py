@@ -23,7 +23,7 @@ class MercatorProber:
 
     def __init__(self, network: Network, attempts: int = 1) -> None:
         self.network = network
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         self.probes_sent = 0
         self.probes_retried = 0
 

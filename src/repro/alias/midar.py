@@ -31,7 +31,7 @@ class MidarProber:
                  attempts: int = 1) -> None:
         self.network = network
         self.samples_per_round = samples_per_round
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         self.probes_sent = 0
         self.probes_retried = 0
 

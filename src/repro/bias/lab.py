@@ -34,7 +34,7 @@ from repro.bias.placement import PlacementResult, VpPlacementOptimizer
 from repro.bias.routemodel import build_route_model
 from repro.bias.species import SpeciesEstimate, estimate_corpus
 from repro.corpus.columnar import TraceCorpus
-from repro.errors import TopologyError
+from repro.errors import MeasurementError, TopologyError
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
 from repro.infer.refine import RegionRefiner
@@ -130,10 +130,15 @@ class BiasLab:
         self.isp = getattr(internet, isp, None)
         if self.isp is None:
             raise TopologyError(f"internet has no ISP named {isp!r}")
-        self.vp_count = max(1, vp_count)
-        self.targets_per_region = max(1, targets_per_region)
-        self.rdns_fraction = min(1.0, max(0.0, rdns_fraction))
-        self.placement_k = max(1, placement_k)
+        if targets_per_region < 1 or placement_k < 1:
+            raise MeasurementError(f"targets_per_region and placement_k must be at least 1, got "
+                                   f"{targets_per_region} and {placement_k}")
+        if not 0.0 <= rdns_fraction <= 1.0:
+            raise MeasurementError(f"rdns_fraction must be in [0, 1], got {rdns_fraction}")
+        self.vp_count = vp_count
+        self.targets_per_region = targets_per_region
+        self.rdns_fraction = rdns_fraction
+        self.placement_k = placement_k
         self.seed = seed
         self.route_model_name = route_model
         self.route_model = build_route_model(internet, route_model)
@@ -141,6 +146,9 @@ class BiasLab:
         self.metrics = metrics or MetricsRegistry()
         self.parser = HostnameParser()
         self.vps = list(internet.build_standard_vps())
+        external = len(split_vps(self.isp, self.vps)[0])
+        if not 1 <= vp_count <= external:
+            raise MeasurementError(f"vp_count {vp_count} is outside 1..{external}, the vantage points outside {isp}")
 
     # ------------------------------------------------------------------
     def _sample_targets(self, salt: str) -> "list[str]":

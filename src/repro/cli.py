@@ -91,12 +91,11 @@ def cmd_map_cable(args) -> int:
     from repro.measure.substrates import cable_campaign
     from repro.validate.quarantine import quarantine_report_to_json
 
+    checkpoints = {pathlib.Path(path).resolve() for path in (args.checkpoint, args.resume) if path}
+    if len(checkpoints) > 1:
+        raise MeasurementError(f"--checkpoint {args.checkpoint} and --resume {args.resume} name two files; "
+                               "a resumed campaign saves to the file it resumes")
     worker_chaos = args.worker_crash or args.worker_stall or args.worker_slow
-    if worker_chaos and args.workers < 2:
-        raise MeasurementError(
-            "--worker-crash, --worker-stall and --worker-slow act on "
-            "supervised workers; they need --workers 2 or more"
-        )
     faults = None
     if args.faults or args.vp_dropouts or args.stale_rdns or worker_chaos:
         faults = FaultPlan(
@@ -119,8 +118,7 @@ def cmd_map_cable(args) -> int:
         checkpoint_path=args.resume or args.checkpoint,
         resume=bool(args.resume), min_vps=args.min_vps,
         validate=args.validate, workers=args.workers,
-        worker_spec=worker_spec, shard_deadline=args.shard_deadline,
-        max_shard_retries=args.max_shard_retries, pace_ms=args.pace_ms,
+        worker_spec=worker_spec, pace_ms=args.pace_ms,
         trace_seed=args.seed, corpus_format=args.corpus_format,
     )
     result = pipeline.run()
@@ -141,7 +139,7 @@ def cmd_map_cable(args) -> int:
         print(f"wrote metrics snapshot to {path}")
     if result.health is not None and (
         faults is not None or args.resume or args.attempts > 1
-        or args.validate != "off" or args.workers > 1
+        or args.validate != "off" or args.workers
     ):
         line = f"campaign health: {result.health.summary()}"
         if result.quarantine is not None:
@@ -607,16 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
              "paper's conflicting-rDNS noise source")
     map_cable.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="run the campaign on N supervised worker processes "
-             "(crash-tolerant, byte-identical corpus; default 0 = serial)")
-    map_cable.add_argument(
-        "--shard-deadline", type=float, default=60.0, metavar="SECONDS",
-        help="wall-clock deadline per shard before the worker is killed "
-             "and the shard retried (default 60)")
-    map_cable.add_argument(
-        "--max-shard-retries", type=int, default=2, metavar="N",
-        help="retries before a failing shard is quarantined as poison "
-             "(default 2)")
+        help="worker processes probing the campaign: 0 probes "
+             "in-process (default), N >= 1 spawns N supervised workers "
+             "(crash-tolerant, byte-identical corpus)")
     map_cable.add_argument(
         "--pace-ms", type=float, default=0.0, metavar="MS",
         help="real inter-trace pacing, modelling probe RTT and ICMP "
@@ -794,8 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="let degraded attempts retry at lower "
                               "fidelity instead of shipping degraded maps")
     ssubmit.add_argument("--workers", type=int, default=0,
-                         help="supervised worker processes (default 0 = "
-                              "serial)")
+                         help="worker processes: 0 probes in-process "
+                              "(default), N >= 1 spawns N supervised "
+                              "workers")
     ssubmit.add_argument("--targets", type=int, default=8,
                          help="toy pipeline: probed targets (default 8)")
     ssubmit.add_argument("--hosts", type=int, default=2,

@@ -104,14 +104,10 @@ class CableInferencePipeline:
         validate: str = "off",
         workers: int = 0,
         worker_spec=None,
-        shard_deadline: float = 60.0,
-        max_shard_retries: int = 2,
         pace_ms: float = 0.0,
         trace_seed: int = 0,
         corpus_format: str = "json",
     ) -> None:
-        if not vps:
-            raise MeasurementError("the pipeline needs at least one vantage point")
         self.network = network
         self.isp = isp
         # Probe the target ISP mostly from outside it: a VP inside the
@@ -128,19 +124,15 @@ class CableInferencePipeline:
             picked = [internal[round(i * step)] for i in range(count)]
         self.vps = external + picked
         if not external:
+            raise MeasurementError(f"no vantage point outside {isp.name} to probe it from")
+        if not 1 <= sweep_vps <= len(self.vps):
             raise MeasurementError(
-                f"all vantage points are inside {isp.name}; none usable"
+                f"sweep_vps {sweep_vps} is outside 1..{len(self.vps)}, the "
+                f"vantage points the pipeline probes {isp.name} from"
             )
-        if min_vps > len(self.vps):
-            raise MeasurementError(
-                f"min_vps {min_vps} exceeds the {len(self.vps)} vantage "
-                f"points the pipeline probes {isp.name} from"
-            )
-        self.sweep_vps = max(1, min(sweep_vps, len(self.vps)))
+        self.sweep_vps = sweep_vps
         self.parser = HostnameParser()
-        self.attempts = max(1, attempts)
-        self.tracer = Tracerouter(network, attempts=self.attempts,
-                                  pace_ms=pace_ms)
+        self.tracer = Tracerouter(network, attempts=attempts, pace_ms=pace_ms)
         self.faults = faults
         self.checkpoint_path = checkpoint_path
         self.resume = resume
@@ -153,19 +145,12 @@ class CableInferencePipeline:
         self.validate = validate
         self._guard = InvariantGuard(validate) if validate != "off" else None
         self.runner: "CampaignRunner | None" = None
-        #: Supervised process sharding: 0/1 = the serial CampaignRunner,
-        #: N>1 = a SupervisedCampaignRunner with N spawned workers
-        #: rebuilding their substrate — routing policy included — from
+        #: Worker processes: 0 = the serial CampaignRunner, N >= 1 = a
+        #: SupervisedCampaignRunner with N spawned workers rebuilding
+        #: their substrate — routing policy included — from
         #: ``worker_spec`` (byte-identical corpus, crash-tolerant).
-        self.workers = max(0, workers)
+        self.workers = workers
         self.worker_spec = worker_spec
-        self.shard_deadline = shard_deadline
-        self.max_shard_retries = max_shard_retries
-        if self.workers > 1 and self.worker_spec is None:
-            raise MeasurementError(
-                "workers > 1 needs a worker_spec describing how spawned "
-                "workers rebuild the substrate"
-            )
         #: Observability: every run records a span tree (phases plus
         #: campaign stages) and a metrics registry.  Both are always on
         #: — recording is cheap and never alters inference output; the
@@ -240,14 +225,8 @@ class CableInferencePipeline:
     def _make_runner(self) -> CampaignRunner:
         """Build (or resume) the campaign runner shared by all sweeps."""
         options = {}
-        if self.workers > 1:
-            options = {
-                "shard_deadline": self.shard_deadline,
-                "max_shard_retries": self.max_shard_retries,
-                "quarantine": (
-                    self._guard.report if self._guard is not None else None
-                ),
-            }
+        if self.workers and self._guard is not None:
+            options["quarantine"] = self._guard.report
         return CampaignRunner.open(
             self.tracer, self.vps, self.checkpoint_path, resume=self.resume,
             workers=self.workers, worker_spec=self.worker_spec,
@@ -304,15 +283,12 @@ class CableInferencePipeline:
             addresses.update(trace.responsive_addresses())
         resolver = AliasResolver(
             self.network, p2p_prefixlen=self.isp.p2p_prefixlen,
-            attempts=self.attempts,
+            attempts=self.tracer.attempts,
         )
-        vp = self.vps[0]
-        if self.runner is not None:
-            vp = self.runner.fleet.first_alive()
-            if vp is None:
-                if self.runner.health is not None:
-                    self.runner.health.degraded = True
-                return AliasSets([])
+        vp = self.runner.fleet.first_alive()
+        if vp is None:
+            self.runner.health.degraded = True
+            return AliasSets([])
         return resolver.resolve(
             vp.host, sorted(addresses), src_address=vp.src_address,
             include_p2p_peers=True,
@@ -331,10 +307,9 @@ class CableInferencePipeline:
         """
         metrics = self.metrics
         self.tracer.publish_metrics(metrics)
-        if self.runner is not None:
-            self.runner.health.publish_metrics(metrics)
-            if self.runner.injector is not None:
-                self.runner.injector.stats.publish_metrics(metrics)
+        self.runner.health.publish_metrics(metrics)
+        if self.runner.injector is not None:
+            self.runner.injector.stats.publish_metrics(metrics)
         if guard is not None:
             guard.publish_metrics(metrics)
         metrics.set_gauge("pipeline.traces", len(traces))
@@ -462,6 +437,6 @@ class CableInferencePipeline:
             followup_traces=followups,
             corpus=corpus,
             followup_corpus=followup_corpus,
-            health=self.runner.health if self.runner is not None else None,
+            health=self.runner.health,
             quarantine=quarantine,
         )

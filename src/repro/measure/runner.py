@@ -27,9 +27,11 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field, fields
 
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, MeasurementError
+from repro.faults.plan import FaultPlan
 from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import FleetView, VantagePoint
+from repro.obs import MetricsRegistry, Tracer
 from repro.perf.gcpause import gc_paused
 
 
@@ -156,19 +158,25 @@ class CampaignRunner:
         obs=None,
         metrics=None,
     ) -> None:
+        if min_vps < 1:
+            raise MeasurementError(f"min_vps must be at least 1, got {min_vps}")
+        if min_vps > len(vps):
+            raise MeasurementError(
+                f"min_vps {min_vps} exceeds the {len(vps)} vantage points "
+                "the campaign probes from"
+            )
         self.tracer = tracer
         self.fleet = FleetView(vps)
         self.checkpoint = checkpoint
-        self.min_vps = max(1, min_vps)
+        self.min_vps = min_vps
         self.failover = failover
-        self.checkpoint_every = max(1, checkpoint_every)
-        #: Observability hooks: a :class:`repro.obs.span.Tracer` that
-        #: wraps every stage in a ``stage:<name>`` span, and a
+        self.checkpoint_every = checkpoint_every
+        #: Observability: a :class:`repro.obs.span.Tracer` that wraps
+        #: every stage in a ``stage:<name>`` span, and a
         #: :class:`repro.obs.metrics.MetricsRegistry` refreshed at
-        #: every health sync.  Both optional; None keeps the runner
-        #: byte-identical to the uninstrumented one.
-        self.obs = obs
-        self.metrics = metrics
+        #: every health sync.  Recording never changes the traces.
+        self.obs = obs if obs is not None else Tracer()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Stop (checkpoint + raise CampaignInterrupted) after this many
         #: jobs, cumulative across stages.  Simulates a killed campaign
         #: in tests; None means run to completion.
@@ -211,14 +219,28 @@ class CampaignRunner:
         VPs stay dead and dropout thresholds fire where the cut run
         left them) and keeps the saved health counters.
 
-        ``workers > 1`` speculates in that many supervised worker
-        processes built from *worker_spec*; *options* go to the
-        runner's constructor.
+        *workers* counts worker processes: 0 probes in-process, N >= 1
+        speculates in N supervised workers built from *worker_spec*.
+        *options* go to the runner's constructor.
         """
         from repro.io.checkpoint import CampaignCheckpoint
 
+        if workers < 0:
+            raise MeasurementError(f"workers must be 0 or more, got {workers}")
+        if workers and worker_spec is None:
+            raise MeasurementError(
+                "workers need a worker_spec describing how spawned "
+                "workers rebuild the substrate"
+            )
+        injector = tracer.network.faults
+        plan = injector.plan if injector is not None else FaultPlan()
+        if not workers and (plan.worker_crash or plan.worker_stall or plan.worker_slow):
+            raise MeasurementError(
+                "worker chaos (crash, stall, slow) needs supervised "
+                "workers: set workers >= 1"
+            )
         runner_cls = cls
-        if workers > 1:
+        if workers:
             from repro.measure.supervisor import SupervisedCampaignRunner
 
             runner_cls = SupervisedCampaignRunner
@@ -229,7 +251,6 @@ class CampaignRunner:
             resumed = resume and pathlib.Path(checkpoint_path).exists()
             if resumed:
                 checkpoint = CampaignCheckpoint.load(checkpoint_path)
-                injector = tracer.network.faults
                 if injector is not None and checkpoint.injector_state:
                     injector.restore_state(checkpoint.injector_state)
             else:
@@ -267,12 +288,11 @@ class CampaignRunner:
             setattr(self.health, name, restored + getattr(self.tracer, name))
         if self.injector is not None:
             self.health.fault_stats = self.injector.stats.as_dict()
-        if self.metrics is not None:
-            self.health.publish_metrics(self.metrics)
-            self.tracer.publish_metrics(self.metrics)
-            if self.injector is not None:
-                self.injector.stats.publish_metrics(self.metrics)
-            self.metrics.set_gauge("campaign.fleet_alive", self.fleet.alive_count())
+        self.health.publish_metrics(self.metrics)
+        self.tracer.publish_metrics(self.metrics)
+        if self.injector is not None:
+            self.injector.stats.publish_metrics(self.metrics)
+        self.metrics.set_gauge("campaign.fleet_alive", self.fleet.alive_count())
 
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         """One actual traceroute — the seam execution strategies override.
@@ -336,17 +356,15 @@ class CampaignRunner:
         Already-checkpointed jobs are skipped on resume; a stage marked
         complete in the checkpoint is returned wholesale from disk.
 
-        With an observability tracer attached the whole stage runs
-        inside a ``stage:<name>`` span recording job and trace counts;
-        a stage interrupted by ``stop_after`` leaves an ``error`` span.
+        The whole stage runs inside a ``stage:<name>`` span recording
+        job and trace counts; a stage interrupted by ``stop_after``
+        leaves an ``error`` span.
 
         Automatic cyclic collection is paused while the stage runs: its
         traces are acyclic and outlive the stage, so a collection would
         rescan them all and free nothing.
         """
         with gc_paused():
-            if self.obs is None:
-                return self._run_stage(jobs, stage, flow_id)
             with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
                 traces = self._run_stage(jobs, stage, flow_id)
                 span.attributes["traces"] = len(traces)

@@ -108,7 +108,7 @@ class ShipTracerouteCampaign:
         self.carriers = carriers
         #: Per-round retry budget: a phone that wakes to no signal
         #: waits a minute and tries again (up to ``attempts`` times).
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         #: Optional :class:`~repro.faults.FaultPlan` whose ``vp_flap``
         #: knocks out extra rounds (the modem crashed on wake).
         self.faults = faults

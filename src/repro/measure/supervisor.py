@@ -45,7 +45,6 @@ replay's last save, which trails the finished shards by at most
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -251,6 +250,7 @@ class SupervisedCampaignRunner(CampaignRunner):
     heartbeats loses at most one shard's progress), stall detection
     (heartbeat timeout), wall-clock shard deadlines, bounded
     retry-with-backoff on fresh workers, and poison-shard quarantine.
+    *options* are the serial runner's (checkpoint, ``min_vps``, ...).
     """
 
     def __init__(
@@ -258,11 +258,6 @@ class SupervisedCampaignRunner(CampaignRunner):
         tracer: Tracerouter,
         vps: "list[VantagePoint]",
         worker_spec: WorkerSpec,
-        checkpoint=None,
-        min_vps: int = 1,
-        failover: bool = True,
-        checkpoint_every: int = 2000,
-        stop_after: "int | None" = None,
         workers: int = 4,
         shard_size: "int | None" = None,
         shard_deadline: float = 60.0,
@@ -270,21 +265,16 @@ class SupervisedCampaignRunner(CampaignRunner):
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 2.0,
         quarantine: "QuarantineReport | None" = None,
-        obs=None,
-        metrics=None,
+        **options,
     ) -> None:
-        super().__init__(
-            tracer, vps, checkpoint=checkpoint, min_vps=min_vps,
-            failover=failover, checkpoint_every=checkpoint_every,
-            stop_after=stop_after, obs=obs, metrics=metrics,
-        )
-        self.workers = max(1, int(workers))
+        super().__init__(tracer, vps, **options)
+        self.workers = workers
         #: (vp name, target, flow id) -> the worker's (trace, cost record).
         self._speculative: "dict[tuple[str, str, int], tuple[TraceResult, tuple]]" = {}
         self.worker_spec = worker_spec
         self.shard_size = shard_size
         self.shard_deadline = float(shard_deadline)
-        self.max_shard_retries = max(0, int(max_shard_retries))
+        self.max_shard_retries = max_shard_retries
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.quarantine = (
@@ -332,19 +322,17 @@ class SupervisedCampaignRunner(CampaignRunner):
         for shard in shards:
             self._unsettled.update(shard.jobs)
         self._pool = self._run_pool(shards, attempts, outcomes)
-        supervise = contextlib.nullcontext() if self.obs is None else self.obs.span(
-            f"supervise:{stage}", shards=len(shards), workers=self.workers,
-        )
         try:
-            with supervise as span:
+            with self.obs.span(
+                f"supervise:{stage}", shards=len(shards), workers=self.workers,
+            ) as span:
                 # The stage pumps the pool, with the collector paused.
                 traces = super().run(jobs, stage=stage, flow_id=flow_id)
                 # Every shard has settled; this runs the pool's epilogue.
                 for _ in self._pool:
                     pass
-                if span is not None:
-                    span.attributes["retried"] = self.health.shards_retried
-                    span.attributes["poisoned"] = self.health.shards_poisoned
+                span.attributes["retried"] = self.health.shards_retried
+                span.attributes["poisoned"] = self.health.shards_poisoned
         finally:
             # A stage that raised leaves the pool open: closing it
             # kills the workers.  Unconsumed entries (jobs that failed
@@ -354,28 +342,26 @@ class SupervisedCampaignRunner(CampaignRunner):
             self._unsettled.clear()
             self._speculative.clear()
             self._poisoned.clear()
-        if self.obs is not None:
-            # Per-shard spans are created *after* the pool completes, in
-            # shard-id order: completion order is scheduling-dependent,
-            # the span tree must not be.
-            for shard in sorted(shards, key=lambda s: s.shard_id):
-                with self.obs.span(
-                    f"shard:{shard.shard_id}",
-                    jobs=len(shard.jobs),
-                    attempts=attempts.get(shard.shard_id, 0),
-                    outcome=outcomes.get(shard.shard_id, "unknown"),
-                ):
-                    pass
-        if self.metrics is not None:
-            self.metrics.set_gauge("supervisor.workers", self.workers)
-            self.metrics.inc("supervisor.shards_run", len(shards))
-            self.metrics.inc(
-                "supervisor.speculated_jobs",
-                sum(
-                    len(s.jobs) for s in shards
-                    if outcomes.get(s.shard_id) == "done"
-                ),
-            )
+        # Per-shard spans are created *after* the pool completes, in
+        # shard-id order: completion order is scheduling-dependent, the
+        # span tree must not be.
+        for shard in sorted(shards, key=lambda s: s.shard_id):
+            with self.obs.span(
+                f"shard:{shard.shard_id}",
+                jobs=len(shard.jobs),
+                attempts=attempts.get(shard.shard_id, 0),
+                outcome=outcomes.get(shard.shard_id, "unknown"),
+            ):
+                pass
+        self.metrics.set_gauge("supervisor.workers", self.workers)
+        self.metrics.inc("supervisor.shards_run", len(shards))
+        self.metrics.inc(
+            "supervisor.speculated_jobs",
+            sum(
+                len(s.jobs) for s in shards
+                if outcomes.get(s.shard_id) == "done"
+            ),
+        )
         return traces
 
     # ------------------------------------------------------------------
@@ -412,11 +398,10 @@ class SupervisedCampaignRunner(CampaignRunner):
             hops += len(trace.hops)
             self._speculative[(vp_name, target, shard.flow_id)] = (trace, cost)
         self._unsettled.difference_update(shard.jobs)
-        if self.metrics is not None:
-            # Shard-merge corpus accounting: how much trace volume each
-            # worker round-trip contributed to the assembled corpus.
-            self.metrics.inc("corpus.shard_traces", len(results))
-            self.metrics.inc("corpus.shard_hops", hops)
+        # Shard-merge corpus accounting: how much trace volume each
+        # worker round-trip contributed to the assembled corpus.
+        self.metrics.inc("corpus.shard_traces", len(results))
+        self.metrics.inc("corpus.shard_hops", hops)
 
     # ------------------------------------------------------------------
     # The supervisor loop

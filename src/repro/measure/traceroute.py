@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from repro.errors import MeasurementError
 from repro.net.addresses import normalize_address, parse_ip
 from repro.net.network import Network
 from repro.net.router import Interface, ReplyPolicy, Router, _extend_hash, _hash_prefix, _stable_hash
@@ -166,10 +167,12 @@ class Tracerouter:
         backoff_ms: float = 0.3,
         pace_ms: float = 0.0,
     ) -> None:
+        if attempts < 1:
+            raise MeasurementError(f"attempts must be at least 1, got {attempts}")
         self.network = network
         self.max_ttl = max_ttl
         self.jitter_ms = jitter_ms
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         self.backoff_ms = backoff_ms
         #: Real (wall-clock) inter-trace pacing, scamper-style.  Zero
         #: by default: the simulation itself is CPU-bound and instant.

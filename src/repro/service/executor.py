@@ -160,14 +160,13 @@ class JobExecutor:
         from repro.measure.runner import CampaignRunner
         from repro.measure.substrates import WorkerSpec, toy_substrate
 
-        hosts = max(1, spec.hosts)
-        targets = _scaled(min(200, spec.targets), fidelity)
-        tracer, vps = toy_substrate(hosts=hosts)
+        targets = _scaled(spec.targets, fidelity)
+        tracer, vps = toy_substrate(hosts=spec.hosts)
         plan = FaultPlan(**spec.faults) if spec.faults else None
         if plan is not None and plan.active:
             tracer.network.attach_faults(FaultInjector(plan))
         options = {}
-        if spec.workers > 1:
+        if spec.workers:
             options["shard_size"] = max(1, targets // 2)
         checkpoint_path = job_dir / "checkpoint.json"
         with _discarding_corrupt_checkpoint(checkpoint_path):
@@ -175,7 +174,8 @@ class JobExecutor:
                 tracer, list(vps.values()), checkpoint_path, resume=True,
                 workers=spec.workers,
                 worker_spec=WorkerSpec(
-                    "repro.measure.substrates:toy_substrate", {"hosts": hosts},
+                    "repro.measure.substrates:toy_substrate",
+                    {"hosts": spec.hosts},
                 ),
                 checkpoint_every=max(1, targets // 2),
                 obs=self.obs, metrics=self.metrics, **options,

@@ -25,6 +25,7 @@ schedule run-to-run.
 
 from __future__ import annotations
 
+from repro.errors import ServiceError
 from repro.faults.plan import FaultPlan
 from repro.service.spec import degrade
 from repro.service.store import JobRecord, JobStore
@@ -46,9 +47,13 @@ class Scheduler:
         backoff_base_s: float = 0.05,
         jitter_seed: int = 0,
     ) -> None:
+        if queue_limit < 1:
+            raise ServiceError(f"queue_limit must be at least 1, got {queue_limit}")
+        if max_attempts < 1:
+            raise ServiceError(f"max_attempts must be at least 1, got {max_attempts}")
         self.store = store
-        self.queue_limit = max(1, queue_limit)
-        self.max_attempts = max(1, max_attempts)
+        self.queue_limit = queue_limit
+        self.max_attempts = max_attempts
         self.backoff_base_s = float(backoff_base_s)
         #: Jitter draws ride the same event-keyed RNG as every fault
         #: decision; a dedicated plan keeps the stream namespaced.

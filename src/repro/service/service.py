@@ -92,13 +92,13 @@ class CampaignService:
         self.tick_s = float(tick_s)
         self.clock = clock
         self.store = JobStore.open(self.state_dir, clock=clock)
-        #: Two live processes with one executor id would both believe
-        #: the other's leases are their own stale ones — refuse early.
-        self.store.acquire_executor_lock(executor_id)
         self.scheduler = Scheduler(
             self.store, queue_limit=queue_limit, max_attempts=max_attempts,
             backoff_base_s=backoff_base_s, jitter_seed=seed,
         )
+        #: Two live processes with one executor id would both believe
+        #: the other's leases are their own stale ones — refuse early.
+        self.store.acquire_executor_lock(executor_id)
         self.obs = Tracer(seed=seed)
         self.metrics = MetricsRegistry()
         self.executor = JobExecutor(

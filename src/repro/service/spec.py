@@ -104,6 +104,17 @@ class JobSpec:
                 f"unknown corpus format {self.corpus_format!r}; expected "
                 "json or binary"
             )
+        # Refused before the spec is hashed: a value the executor had to
+        # change would give one piece of work two job ids.  A toy job
+        # probes at most 200 addresses of the substrate's target /24.
+        if self.hosts < 1:
+            raise ServiceError(f"hosts must be at least 1, got {self.hosts}")
+        if not 1 <= self.targets <= 200:
+            raise ServiceError(f"targets {self.targets} is outside 1..200")
+        if self.workers < 0:
+            raise ServiceError(f"workers must be 0 or more, got {self.workers}")
+        if self.sweep_vps < 1:
+            raise ServiceError(f"sweep_vps must be at least 1, got {self.sweep_vps}")
 
     # ------------------------------------------------------------------
     def content_dict(self) -> "dict[str, object]":

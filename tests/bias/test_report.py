@@ -10,7 +10,7 @@ from repro.bias import (
     bias_report_to_json,
     build_bias_report,
 )
-from repro.errors import SchemaError
+from repro.errors import MeasurementError, SchemaError
 
 COMMITTED = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -21,6 +21,32 @@ COMMITTED = (
 @pytest.fixture(scope="module")
 def report(lab_result):
     return build_bias_report(lab_result)
+
+
+class TestLabSettings:
+    @pytest.mark.parametrize("setting, value, message", [
+        ("targets_per_region", 0, "targets_per_region and placement_k must be at least 1, got 0 and 4"),
+        ("placement_k", 0, "targets_per_region and placement_k must be at least 1, got 24 and 0"),
+        ("rdns_fraction", 7, r"rdns_fraction must be in \[0, 1\], got 7"),
+        ("rdns_fraction", -0.1, r"rdns_fraction must be in \[0, 1\], got -0.1"),
+    ])
+    def test_a_setting_the_lab_cannot_honour_is_refused(self, setting, value, message):
+        from types import SimpleNamespace
+
+        from repro.bias import BiasLab
+
+        # Refused before the lab touches the internet beyond the ISP lookup.
+        with pytest.raises(MeasurementError, match=message):
+            BiasLab(SimpleNamespace(comcast=object()), **{setting: value})
+
+    @pytest.mark.parametrize("vp_count", [0, 999])
+    def test_vp_count_outside_the_vantage_points_outside_the_isp(self, bias_internet, vp_count):
+        from repro.bias import BiasLab
+
+        # The lab once probed from max(1, vp_count) VPs, sliced the fleet
+        # silently, and reported the count asked for.
+        with pytest.raises(MeasurementError, match=rf"vp_count {vp_count} is outside 1\.\.\d+, the vantage points outside comcast"):
+            BiasLab(bias_internet, vp_count=vp_count)
 
 
 class TestArtifact:

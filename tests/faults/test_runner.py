@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CampaignInterrupted, CheckpointError
+from repro.errors import CampaignInterrupted, CheckpointError, MeasurementError
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
@@ -87,6 +87,22 @@ class TestDegradation:
         assert runner.health.degraded
         assert runner.health.targets_skipped > 0
         assert 0 < len(traces) < len(_jobs(vps))
+
+
+class TestRefusedSettings:
+    """The opener refuses workers it cannot start or chaos it cannot inject."""
+
+    def test_workers_need_a_worker_spec(self, fleet):
+        net, _routers, vps = fleet
+        with pytest.raises(MeasurementError, match="worker_spec"):
+            CampaignRunner.open(Tracerouter(net), vps, workers=1)
+
+    @pytest.mark.parametrize("chaos", ["worker_crash", "worker_stall", "worker_slow"])
+    def test_worker_chaos_needs_workers(self, fleet, chaos):
+        net, _routers, vps = fleet
+        net.attach_faults(FaultInjector(FaultPlan(**{chaos: 0.5})))
+        with pytest.raises(MeasurementError, match="needs supervised workers"):
+            CampaignRunner.open(Tracerouter(net), vps)
 
 
 class TestCheckpointResume:
@@ -222,6 +238,14 @@ class TestOpen:
         )
         return runner, _jobs(list(vps.values()), self.TARGETS)
 
+    def test_workers_count_processes(self):
+        from repro.measure.supervisor import SupervisedCampaignRunner
+
+        serial, _ = self._open(None, 0)
+        one, _ = self._open(None, 1)
+        assert type(serial) is CampaignRunner
+        assert isinstance(one, SupervisedCampaignRunner) and one.workers == 1
+
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "supervised"])
     def test_resume_policy(self, workers, tmp_path):
         reference, jobs = self._open(None, 0)
@@ -248,7 +272,7 @@ class TestOpen:
             assert not resumed.fleet.is_alive(name)
         traces = resumed.run(jobs, stage="s")
         assert [trace_to_dict(t) for t in traces] == expected
-        assert (resumed.health.workers_spawned > 0) == (workers > 1)
+        assert (resumed.health.workers_spawned > 0) == (workers > 0)
 
         complete, jobs = self._open(path, workers)
         assert [trace_to_dict(t) for t in complete.run(jobs, stage="s")] == expected

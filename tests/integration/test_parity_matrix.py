@@ -193,3 +193,20 @@ def test_cell(matrix, model, faults, runner, corpus, run):
     assert result.mapping.stats == reference.mapping.stats
     assert result.adjacencies.stats == reference.adjacencies.stats
     assert _health(result) == _health(reference)
+
+
+def test_one_worker_is_supervised_and_serial_equal(matrix):
+    """``workers=1`` is one supervised worker per stage (it once ran the
+    serial runner) and gives the serial cell's regions and health."""
+    reference = matrix.cell("spf", "off", "serial", "json", "fresh")
+    internet, fleet, worker_spec = matrix._campaign("spf")
+    pipeline = _CellPipeline(
+        internet.network, internet.comcast, fleet, sweep_vps=2,
+        workers=1, worker_spec=worker_spec,
+    )
+    result = pipeline.run()
+    supervised = [s.attributes["workers"] for s in pipeline.obs.spans if s.name.startswith("supervise:")]
+    assert supervised == [1, 1, 1]
+    assert result.health.workers_spawned >= 3
+    assert _digest(result) == PINNED["spf", "off"]
+    assert _health(result) == _health(reference)

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.errors import MeasurementError
 from repro.measure.traceroute import Hop, TraceResult, Tracerouter
 from repro.net.router import ReplyPolicy
 
 
 class TestTrace:
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_attempts_below_one_refused(self, toy_network, attempts):
+        with pytest.raises(MeasurementError, match=f"attempts must be at least 1, got {attempts}"):
+            Tracerouter(toy_network[0], attempts=attempts)
+
     def test_reaches_destination(self, toy_network):
         net, routers = toy_network
         tracer = Tracerouter(net)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service import CampaignService, JobSpec
 from repro.service.service import DRAIN_MARKER
 from repro.service.spec import job_spec_to_json
@@ -23,6 +24,13 @@ def _toy(**kwargs):
     options = {"pipeline": "toy", "seed": 1, "targets": 4, "hosts": 2}
     options.update(kwargs)
     return JobSpec(**options)
+
+
+class TestRefusedSettings:
+    @pytest.mark.parametrize("setting", ["queue_limit", "max_attempts"])
+    def test_a_scheduler_setting_below_one_is_refused(self, tmp_path, setting):
+        with pytest.raises(ServiceError, match=f"{setting} must be at least 1, got 0"):
+            _service(tmp_path, **{setting: 0})
 
 
 class TestRetryAndPoison:

@@ -35,6 +35,29 @@ class TestValidation:
         with pytest.raises(ServiceError, match="fault plan"):
             JobSpec(faults=faults)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(hosts=0), "hosts must be at least 1, got 0"),
+        (dict(targets=0), "targets 0 is outside 1..200"),
+        (dict(targets=201), "targets 201 is outside 1..200"),
+        (dict(workers=-1), "workers must be 0 or more, got -1"),
+        (dict(sweep_vps=0), "sweep_vps must be at least 1, got 0"),
+    ])
+    def test_a_setting_the_executor_cannot_honour_is_rejected(self, fields, message):
+        with pytest.raises(ServiceError, match=message.replace(".", r"\.")):
+            JobSpec(**fields)
+
+    @pytest.mark.parametrize("clamped, honoured", [
+        (dict(hosts=0), dict(hosts=1)),
+        (dict(targets=-5), dict(targets=1)),
+        (dict(targets=5000), dict(targets=200)),
+    ])
+    def test_one_campaign_has_one_job_id(self, clamped, honoured):
+        # The executor once ran both specs as the same campaign under
+        # two job ids; now only the one it runs as written is accepted.
+        assert job_id_for(JobSpec(pipeline="toy", **honoured))
+        with pytest.raises(ServiceError):
+            JobSpec(pipeline="toy", **clamped)
+
     def test_known_fault_fields_accepted(self):
         spec = JobSpec(faults={"probe_loss": 0.2, "worker_crash": 0.1})
         assert spec.faults["probe_loss"] == 0.2

@@ -92,20 +92,22 @@ class TestSupervisedFlags:
     def test_worker_flags_parse_with_defaults(self):
         args = build_parser().parse_args(["map-cable", "comcast"])
         assert args.workers == 0
-        assert args.shard_deadline == 60.0
-        assert args.max_shard_retries == 2
         assert args.pace_ms == 0.0
         assert args.worker_crash == args.worker_stall == args.worker_slow == 0.0
 
     def test_worker_flags_accept_values(self):
         args = build_parser().parse_args(
             ["map-cable", "comcast", "--workers", "4",
-             "--shard-deadline", "5", "--max-shard-retries", "1",
              "--pace-ms", "0.5", "--worker-crash", "0.2"]
         )
-        assert args.workers == 4 and args.shard_deadline == 5.0
-        assert args.max_shard_retries == 1 and args.pace_ms == 0.5
+        assert args.workers == 4 and args.pace_ms == 0.5
         assert args.worker_crash == 0.2
+
+    @pytest.mark.parametrize("flag", ["--shard-deadline", "--max-shard-retries"])
+    def test_shard_flags_are_gone(self, flag):
+        # The supervisor's defaults are the only values a campaign runs with.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["map-cable", "comcast", flag, "1"])
 
     def test_parallel_flag_is_gone(self):
         with pytest.raises(SystemExit):
@@ -225,9 +227,18 @@ class TestUnhonourableConfigRefused:
     @pytest.mark.parametrize("flags, message", [
         (["--faults", "1.5"], "probe_loss must be a probability in [0, 1]"),
         (["--min-vps", "100"], "min_vps 100 exceeds"),
-        (["--worker-crash", "0.5"], "need --workers 2 or more"),
-    ], ids=["faults-above-1", "min-vps-above-fleet", "worker-chaos-serial"])
-    def test_refused_before_probing(self, flags, message, capsys, traces_run):
+        (["--worker-crash", "0.5"], "worker chaos (crash, stall, slow) needs supervised workers"),
+        (["--sweep-vps", "0"], "sweep_vps 0 is outside 1.."),
+        (["--sweep-vps", "999"], "sweep_vps 999 is outside 1.."),
+        (["--attempts", "0"], "attempts must be at least 1, got 0"),
+        (["--workers", "-1"], "workers must be 0 or more, got -1"),
+        (["--min-vps", "0"], "min_vps must be at least 1, got 0"),
+        (["--checkpoint", "a", "--resume", "b"], "--checkpoint a and --resume b name two files"),
+    ], ids=["faults-above-1", "min-vps-above-fleet", "worker-chaos-serial",
+            "sweep-vps-0", "sweep-vps-above-fleet", "attempts-0", "workers-negative",
+            "min-vps-0", "checkpoint-and-resume-differ"])
+    def test_refused_before_probing(self, flags, message, capsys, traces_run, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main(["map-cable", "charter", "--sweep-vps", "1", *flags])
         assert code == 3
         captured = capsys.readouterr()
@@ -236,6 +247,18 @@ class TestUnhonourableConfigRefused:
         assert message in err
         assert "regions inferred" not in captured.out
         assert traces_run == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bias_lab_without_vantage_points(self, capsys, traces_run):
+        assert main(["bias", "report", "--vps", "0"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "error: vp_count 0 is outside 1..36, the vantage points outside comcast"
+        assert traces_run == []
+
+    def test_service_with_no_queue(self, tmp_path, capsys):
+        assert main(["service", "run", str(tmp_path / "state"), "--queue-limit", "0", "--until-idle"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "error: queue_limit must be at least 1, got 0"
 
 
 class TestProfileReport:
