@@ -4,7 +4,7 @@ Runs the toy-substrate campaign twice:
 
 * serially, with the same fault plan, to produce the oracle corpus;
 * under the :class:`SupervisedCampaignRunner` (2 spawned workers,
-  aggressive heartbeat/deadline settings) with seeded ``worker_crash``
+  an aggressive heartbeat timeout) with seeded ``worker_crash``
   and ``worker_stall`` chaos.
 
 Asserts that chaos actually happened (crashes and stalls were observed
@@ -89,7 +89,7 @@ def main() -> int:
             "repro.measure.substrates:toy_substrate", {"hosts": 3}
         ),
         workers=2, shard_size=10,
-        heartbeat_interval=0.05, heartbeat_timeout=1.0, shard_deadline=20.0,
+        heartbeat_interval=0.05, heartbeat_timeout=1.0,
         # Fates are drawn per (shard, attempt), so at these rates a
         # shard can lose 3 draws in a row; 6 retries makes recovery
         # certain for this seed while still exercising the retry path.

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import pathlib
-import tempfile
 
 import numpy as np
 
 from repro.corpus.columnar import _ARRAY_FIELDS, StringTable, TraceCorpus
 from repro.errors import SchemaError
+from repro.io.atomic import atomic_write_bytes
 from repro.io.checkpoint import trace_from_dict, traces_to_corpus_json
 from repro.validate.schema import parse_artifact
 
@@ -79,7 +78,6 @@ def _decode_strings(array: np.ndarray, path: str) -> "list[str]":
 
 def save_corpus(path: "str | pathlib.Path", corpus: TraceCorpus) -> pathlib.Path:
     """Write the binary corpus container atomically; returns the path."""
-    path = pathlib.Path(path)
     header = {
         "schema": CORPUS_SCHEMA_VERSION,
         "kind": CORPUS_KIND,
@@ -102,22 +100,7 @@ def save_corpus(path: "str | pathlib.Path", corpus: TraceCorpus) -> pathlib.Path
         )
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(buffer.getvalue())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        with pathlib.Path(temp_name) as leftover:
-            if leftover.exists():
-                leftover.unlink()
-        raise
-    return path
+    return atomic_write_bytes(path, buffer.getvalue())
 
 
 def _require(archive, name: str) -> np.ndarray:

@@ -100,7 +100,6 @@ class CableInferencePipeline:
         resume: bool = False,
         min_vps: int = 1,
         failover: bool = True,
-        stop_after: "int | None" = None,
         validate: str = "off",
         workers: int = 0,
         worker_spec=None,
@@ -138,7 +137,6 @@ class CableInferencePipeline:
         self.resume = resume
         self.min_vps = min_vps
         self.failover = failover
-        self.stop_after = stop_after
         #: Validation policy: strict (fail-fast), lenient
         #: (drop-and-record), or off.  Constructing the guard up front
         #: rejects unknown policies before any probing happens.
@@ -223,16 +221,17 @@ class CableInferencePipeline:
             self.network.attach_faults(previous)
 
     def _make_runner(self) -> CampaignRunner:
-        """Build (or resume) the campaign runner shared by all sweeps."""
-        options = {}
-        if self.workers and self._guard is not None:
-            options["quarantine"] = self._guard.report
+        """Build (or resume) the campaign runner shared by all sweeps.
+
+        The runner records into the guard's quarantine report, so one
+        report holds both the campaign's and the inference's drops.
+        """
         return CampaignRunner.open(
             self.tracer, self.vps, self.checkpoint_path, resume=self.resume,
             workers=self.workers, worker_spec=self.worker_spec,
             min_vps=self.min_vps, failover=self.failover,
-            stop_after=self.stop_after, obs=self.obs, metrics=self.metrics,
-            **options,
+            obs=self.obs, metrics=self.metrics,
+            quarantine=self._guard.report if self._guard is not None else None,
         )
 
     def collect_traces(self) -> "tuple[list[TraceResult], list[TraceResult]]":
@@ -420,12 +419,11 @@ class CableInferencePipeline:
             span.attributes["entries"] = len(entries)
 
         self._publish_metrics(guard, regions, traces, followups)
-        quarantine = guard.report if guard is not None else None
-        runner_quarantine = getattr(self.runner, "quarantine", None)
-        if quarantine is None and runner_quarantine:
-            # Poison-shard records exist even with validation off; a
-            # result must never hide quarantined coverage loss.
-            quarantine = runner_quarantine
+        # Poison-shard records exist even with validation off; a result
+        # must never hide quarantined coverage loss.
+        quarantine = self.runner.quarantine
+        if guard is None and not quarantine:
+            quarantine = None
         return CableInferenceResult(
             isp=self.isp.name,
             regions=regions,

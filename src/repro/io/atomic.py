@@ -17,22 +17,26 @@ import re
 _NONBLANK = re.compile(rb"\S")
 
 
-def atomic_write_text(path: "str | pathlib.Path", text: str) -> pathlib.Path:
-    """Write *text* to *path* via write-temp-then-rename; returns the path.
+def atomic_write_bytes(path: "str | pathlib.Path", data: bytes) -> pathlib.Path:
+    """Write *data* to *path* via write-temp-then-rename; returns the path.
 
     The temp file is fsynced before the rename so a crash (or power
     loss) immediately after the replace cannot surface a truncated
     file; the parent directory is fsynced best-effort so the rename
-    itself is durable.
+    itself is durable.  A write that fails removes its temp file.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     try:
         dir_fd = os.open(path.parent, os.O_RDONLY)
     except OSError:
@@ -44,6 +48,11 @@ def atomic_write_text(path: "str | pathlib.Path", text: str) -> pathlib.Path:
     finally:
         os.close(dir_fd)
     return path
+
+
+def atomic_write_text(path: "str | pathlib.Path", text: str) -> pathlib.Path:
+    """:func:`atomic_write_bytes` of *text* encoded as UTF-8."""
+    return atomic_write_bytes(path, text.encode())
 
 
 def read_log(data: bytes, parse, what: str = "line"):

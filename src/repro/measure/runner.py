@@ -25,6 +25,8 @@ failures:
 from __future__ import annotations
 
 import pathlib
+import signal
+import threading
 from dataclasses import dataclass, field, fields
 
 from repro.errors import CampaignInterrupted, MeasurementError
@@ -33,6 +35,7 @@ from repro.measure.traceroute import TraceResult, Tracerouter
 from repro.measure.vantage import FleetView, VantagePoint
 from repro.obs import MetricsRegistry, Tracer
 from repro.perf.gcpause import gc_paused
+from repro.validate.quarantine import QuarantineReport
 
 
 @dataclass
@@ -154,9 +157,9 @@ class CampaignRunner:
         min_vps: int = 1,
         failover: bool = True,
         checkpoint_every: int = 2000,
-        stop_after: "int | None" = None,
         obs=None,
         metrics=None,
+        quarantine: "QuarantineReport | None" = None,
     ) -> None:
         if min_vps < 1:
             raise MeasurementError(f"min_vps must be at least 1, got {min_vps}")
@@ -177,11 +180,12 @@ class CampaignRunner:
         #: every health sync.  Recording never changes the traces.
         self.obs = obs if obs is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Stop (checkpoint + raise CampaignInterrupted) after this many
-        #: jobs, cumulative across stages.  Simulates a killed campaign
-        #: in tests; None means run to completion.
-        self.stop_after = stop_after
-        self._executed = 0
+        #: Coverage the campaign dropped on purpose (the supervisor's
+        #: poison shards); the pipeline hands in its guard's report.
+        self.quarantine = (
+            quarantine if quarantine is not None
+            else QuarantineReport(policy="lenient")
+        )
         self.health = CampaignHealth()
         #: The health's cost counters as the checkpoint left them.
         self._restored_cost = (0,) * len(Tracerouter.COUNTERS)
@@ -219,14 +223,14 @@ class CampaignRunner:
         VPs stay dead and dropout thresholds fire where the cut run
         left them) and keeps the saved health counters.
 
-        *workers* counts worker processes: 0 probes in-process, N >= 1
-        speculates in N supervised workers built from *worker_spec*.
+        *workers* counts worker processes: 0 probes in-process, any
+        other count goes to the supervised runner, which speculates in
+        that many workers built from *worker_spec* (and refuses a count
+        below 1).
         *options* go to the runner's constructor.
         """
         from repro.io.checkpoint import CampaignCheckpoint
 
-        if workers < 0:
-            raise MeasurementError(f"workers must be 0 or more, got {workers}")
         if workers and worker_spec is None:
             raise MeasurementError(
                 "workers need a worker_spec describing how spawned "
@@ -357,28 +361,35 @@ class CampaignRunner:
         complete in the checkpoint is returned wholesale from disk.
 
         The whole stage runs inside a ``stage:<name>`` span recording
-        job and trace counts; a stage interrupted by ``stop_after``
-        leaves an ``error`` span.
+        job and trace counts; an interrupted stage leaves an ``error``
+        span.
+
+        SIGTERM interrupts the stage as Ctrl-C does, so a campaign
+        stopped by ``timeout`` or a service manager saves its finished
+        jobs.  The handler is installed only on the main thread
+        (``signal.signal`` raises elsewhere) and only while SIGTERM is
+        at its default: the campaign service installs its own drain
+        handler.
 
         Automatic cyclic collection is paused while the stage runs: its
         traces are acyclic and outlive the stage, so a collection would
         rescan them all and free nothing.
         """
-        with gc_paused():
-            with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
-                traces = self._run_stage(jobs, stage, flow_id)
-                span.attributes["traces"] = len(traces)
-                span.attributes["skipped"] = self.health.targets_skipped
-                return traces
-
-    def _interrupt(self, stage: str, traces, done, reason: str):
-        """Save the stage's unsaved progress; the CampaignInterrupted to raise."""
-        self._sync_health()
-        self.health.interrupted = True
-        self._save_checkpoint(stage, traces, done, complete=False)
-        return CampaignInterrupted(
-            f"{reason} (checkpoint: {getattr(self.checkpoint, 'path', None)})"
-        )
+        previous = None
+        if threading.current_thread() is threading.main_thread():
+            current = signal.getsignal(signal.SIGTERM)
+            if current in (signal.SIG_DFL, signal.default_int_handler):
+                previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            with gc_paused():
+                with self.obs.span(f"stage:{stage}", jobs=len(jobs)) as span:
+                    traces = self._run_stage(jobs, stage, flow_id)
+                    span.attributes["traces"] = len(traces)
+                    span.attributes["skipped"] = self.health.targets_skipped
+                    return traces
+        finally:
+            if previous is not None:
+                signal.signal(signal.SIGTERM, previous)
 
     def _run_stage(
         self,
@@ -402,11 +413,6 @@ class CampaignRunner:
                 job_key = (vp.name, target)
                 if job_key in done:
                     continue
-                if self.stop_after is not None and self._executed >= self.stop_after:
-                    raise self._interrupt(
-                        stage, traces[saved:], fresh,
-                        f"campaign stopped after {self._executed} jobs",
-                    )
                 ran, trace = self._run_job(vp, job_key, flow_id)
                 # Only a finished job is done: one an interrupt cuts
                 # short re-runs on resume.
@@ -420,7 +426,6 @@ class CampaignRunner:
                     traces.append(trace)
                 else:
                     self.health.empty_traces += 1
-                self._executed += 1
                 since_save += 1
                 if since_save >= self.checkpoint_every:
                     self._sync_health()
@@ -430,10 +435,13 @@ class CampaignRunner:
                     saved, fresh, since_save = len(traces), [], 0
                     self._save_checkpoint(stage, *unsaved, complete=False)
         except KeyboardInterrupt:
-            # Ctrl-C (or SIGTERM under the supervisor): keep every
-            # finished job, as stop_after does.
-            raise self._interrupt(
-                stage, traces[saved:], fresh, "campaign interrupted"
+            # Ctrl-C or SIGTERM: keep every finished job.
+            self._sync_health()
+            self.health.interrupted = True
+            self._save_checkpoint(stage, traces[saved:], fresh, complete=False)
+            raise CampaignInterrupted(
+                "campaign interrupted "
+                f"(checkpoint: {getattr(self.checkpoint, 'path', None)})"
             ) from None
         self._sync_health()
         self._save_checkpoint(stage, traces[saved:], fresh, complete=True)

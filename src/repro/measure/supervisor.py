@@ -16,8 +16,9 @@ guarantee:
    between jobs, and returns each serialized trace with its cost
    record: what the trace added to the tracer's counters and to the
    per-trace fault counts.  The supervisor
-   enforces per-shard heartbeat liveness and a wall-clock deadline,
-   kills and replaces workers that crash or stall, retries failed
+   enforces heartbeat liveness (a worker silent for longer than
+   ``heartbeat_timeout`` plus one paced trace has stalled), kills and
+   replaces workers that crash or stall, retries failed
    shards with exponential backoff on a fresh worker, and — after a
    shard exhausts ``max_shard_retries`` — poisons it: its jobs are
    quarantined, skipped, and reported as degraded coverage.
@@ -48,7 +49,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
 from operator import attrgetter, sub
@@ -67,7 +67,6 @@ from repro.measure.traceroute import (
 )
 from repro.measure.vantage import VantagePoint
 from repro.perf.gcpause import gc_paused
-from repro.validate.quarantine import QuarantineReport
 
 #: How long a stall-injected worker sleeps: effectively forever — the
 #: supervisor's heartbeat timeout is what ends it.
@@ -213,7 +212,7 @@ class _Worker:
 
     __slots__ = (
         "process", "conn", "ready", "assigned", "active",
-        "spawned_at", "started_at", "last_heartbeat",
+        "spawned_at", "last_heartbeat",
     )
 
     def __init__(self, process, conn, now: float) -> None:
@@ -227,7 +226,6 @@ class _Worker:
         #: shard_id the worker has confirmed it is executing.
         self.active: "str | None" = None
         self.spawned_at = now
-        self.started_at = 0.0
         self.last_heartbeat = now
 
     def kill(self) -> None:
@@ -248,8 +246,8 @@ class SupervisedCampaignRunner(CampaignRunner):
     Same ``run`` contract and checkpoints as the serial runner, same
     byte-identical corpus; adds crash tolerance (worker death between
     heartbeats loses at most one shard's progress), stall detection
-    (heartbeat timeout), wall-clock shard deadlines, bounded
-    retry-with-backoff on fresh workers, and poison-shard quarantine.
+    (heartbeat timeout), bounded retry-with-backoff on fresh workers,
+    and poison-shard quarantine into the runner's ``quarantine``.
     *options* are the serial runner's (checkpoint, ``min_vps``, ...).
     """
 
@@ -260,27 +258,25 @@ class SupervisedCampaignRunner(CampaignRunner):
         worker_spec: WorkerSpec,
         workers: int = 4,
         shard_size: "int | None" = None,
-        shard_deadline: float = 60.0,
         max_shard_retries: int = 2,
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 2.0,
-        quarantine: "QuarantineReport | None" = None,
         **options,
     ) -> None:
+        if workers < 1:
+            raise MeasurementError(
+                f"supervised workers must be at least 1, got {workers} "
+                "(0 workers probes in-process)"
+            )
         super().__init__(tracer, vps, **options)
         self.workers = workers
         #: (vp name, target, flow id) -> the worker's (trace, cost record).
         self._speculative: "dict[tuple[str, str, int], tuple[TraceResult, tuple]]" = {}
         self.worker_spec = worker_spec
         self.shard_size = shard_size
-        self.shard_deadline = float(shard_deadline)
         self.max_shard_retries = max_shard_retries
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.quarantine = (
-            quarantine if quarantine is not None
-            else QuarantineReport(policy="lenient")
-        )
         #: Job keys belonging to poisoned shards — blocked during replay.
         self._poisoned: "set[tuple[str, str]]" = set()
         #: Job keys whose shard has not settled yet: the replay pumps
@@ -373,17 +369,11 @@ class SupervisedCampaignRunner(CampaignRunner):
         if checkpoint is not None and checkpoint.stage_complete(stage):
             return []
         done = checkpoint.stage_done(stage) if checkpoint is not None else set()
-        pending = [
-            (vp, target) for vp, target in jobs if (vp.name, target) not in done
-        ]
-        if self.stop_after is not None:
-            budget = max(0, self.stop_after - self._executed)
-            pending = pending[:budget]
         # Jobs on already-dead VPs fail over during replay; their
         # stand-ins run synchronously on the canonical tracer.
         job_pairs = [
-            (vp.name, target) for vp, target in pending
-            if self.fleet.is_alive(vp.name)
+            (vp.name, target) for vp, target in jobs
+            if (vp.name, target) not in done and self.fleet.is_alive(vp.name)
         ]
         return plan_shards(
             job_pairs, stage, flow_id=flow_id, shard_size=self.shard_size,
@@ -423,9 +413,11 @@ class SupervisedCampaignRunner(CampaignRunner):
         """The worker pool as a pump: a generator that yields whenever
         a shard settles (done or poisoned).
 
-        Closing it early kills the workers.  Worker liveness is
-        measured only while it runs: the replay's time between pumps
-        is no worker's stall.
+        Closing it early kills the workers.  A worker reports only
+        between traces, so it has stalled once nothing is heard from it
+        for ``heartbeat_timeout`` plus one paced trace.  Liveness is
+        measured only while the pump runs: the replay's time between
+        pumps is no worker's stall.
         """
         ctx = multiprocessing.get_context("spawn")
         plan_payload = (
@@ -451,6 +443,7 @@ class SupervisedCampaignRunner(CampaignRunner):
         #: the supervisor in an infinite spawn-die-respawn loop.
         boot_failures = 0
         max_boot_failures = max(3, self.workers * 3)
+        stall_after = self.heartbeat_timeout + self.tracer.pace_ms / 1000.0
 
         #: Backoff jitter draws from the fault plan when one is attached
         #: (so a seeded chaos run replays the identical retry schedule)
@@ -522,21 +515,6 @@ class SupervisedCampaignRunner(CampaignRunner):
                     attempts[shard.shard_id] -= 1
                     queue.append((shard, now))
 
-        #: SIGTERM behaves like Ctrl-C while the pool runs: the stage
-        #: saves what it finished and the workers die.  Installed only
-        #: when nothing else claimed the signal (the campaign service
-        #: installs its own drain handler) and only on the main thread
-        #: (signal.signal raises elsewhere).
-        previous_sigterm = None
-        if threading.current_thread() is threading.main_thread():
-            current = signal.getsignal(signal.SIGTERM)
-            if current in (signal.SIG_DFL, signal.default_int_handler):
-
-                def _sigterm(signum, frame):  # pragma: no cover - signal glue
-                    raise KeyboardInterrupt
-
-                previous_sigterm = current
-                signal.signal(signal.SIGTERM, _sigterm)
         try:
             while finished < len(pending_shards):
                 settled = finished
@@ -605,7 +583,6 @@ class SupervisedCampaignRunner(CampaignRunner):
                     elif kind == "start":
                         _, shard_id, _ = message
                         worker.active = shard_id
-                        worker.started_at = now
                         worker.last_heartbeat = now
                     elif kind == "done":
                         _, shard_id, _, results, slow = message
@@ -646,25 +623,17 @@ class SupervisedCampaignRunner(CampaignRunner):
                         continue
                     if not worker.assigned:
                         continue
-                    if now - worker.last_heartbeat > self.heartbeat_timeout:
+                    if now - worker.last_heartbeat > stall_after:
                         recycle(worker, "heartbeat timeout", now, _STALL)
-                    elif (
-                        worker.active is not None
-                        and now - worker.started_at > self.shard_deadline
-                    ):
-                        recycle(worker, "shard deadline exceeded", now, _STALL)
                 if finished > settled:
                     paused = time.monotonic()
                     yield
-                    # Time away from the pump counts toward no deadline.
+                    # Time away from the pump counts toward no timeout.
                     away = time.monotonic() - paused
                     for worker in workers:
                         worker.spawned_at += away
-                        worker.started_at += away
                         worker.last_heartbeat += away
         finally:
-            if previous_sigterm is not None:
-                signal.signal(signal.SIGTERM, previous_sigterm)
             for worker in workers:
                 if worker.ready and not worker.assigned:
                     try:

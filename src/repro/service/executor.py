@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError, ServiceError
 from repro.faults import FaultInjector, FaultPlan
-from repro.io.atomic import atomic_write_text
+from repro.io.atomic import atomic_write_bytes
 from repro.io.checkpoint import trace_to_dict
-from repro.obs import sha256_text
+from repro.obs import sha256_bytes
 from repro.service.spec import JobSpec
 from repro.validate.quarantine import quarantine_report_to_json
 
@@ -48,8 +48,8 @@ class ExecutionResult:
     summary: str = ""
 
 
-def _scaled(count: int, fidelity: str, floor: int = 1) -> int:
-    return max(floor, int(count * _FIDELITY_SCALE[fidelity]))
+def _scaled(count: int, fidelity: str) -> int:
+    return max(1, int(count * _FIDELITY_SCALE[fidelity]))
 
 
 @contextlib.contextmanager
@@ -107,8 +107,9 @@ class JobExecutor:
     # ------------------------------------------------------------------
     def _write(self, job_dir: pathlib.Path, name: str, text: str,
                artifacts: "dict[str, dict]") -> None:
-        atomic_write_text(job_dir / name, text)
-        artifacts[name] = {"sha256": sha256_text(text), "bytes": len(text)}
+        data = text.encode()
+        atomic_write_bytes(job_dir / name, data)
+        artifacts[name] = {"sha256": sha256_bytes(data), "bytes": len(data)}
 
     def _export_campaign(self, stage_dir: pathlib.Path, spec: JobSpec,
                          traces, health, quarantine,
@@ -119,7 +120,7 @@ class JobExecutor:
         self._write_corpus(stage_dir, spec, traces, artifacts)
         self._write(stage_dir, "health.json",
                     campaign_health_to_json(health), artifacts)
-        if quarantine is not None and quarantine:
+        if quarantine:
             self._write(stage_dir, "quarantine.json",
                         quarantine_report_to_json(quarantine), artifacts)
         return ExecutionResult(
@@ -134,13 +135,11 @@ class JobExecutor:
 
         ``json`` writes the legacy sorted-JSON trace list; ``binary``
         writes the columnar ``.npz`` container from
-        :mod:`repro.corpus.binio`, digested over its raw bytes so the
-        HTTP artifact endpoint verifies it the same way.
+        :mod:`repro.corpus.binio`.
         """
         if spec.corpus_format == "binary":
             from repro.corpus.binio import save_corpus
             from repro.corpus.columnar import TraceCorpus
-            from repro.obs import sha256_bytes
 
             path = stage_dir / "corpus.npz"
             save_corpus(path, TraceCorpus.from_traces(traces))
@@ -187,8 +186,7 @@ class JobExecutor:
         ]
         traces = runner.run(jobs, stage="campaign")
         return self._export_campaign(
-            stage_dir, spec, traces, runner.health,
-            getattr(runner, "quarantine", None), {},
+            stage_dir, spec, traces, runner.health, runner.quarantine, {},
         )
 
     def _execute_cable(self, spec: JobSpec, fidelity: str,
@@ -206,7 +204,7 @@ class JobExecutor:
         checkpoint_path = job_dir / "checkpoint.json"
         pipeline = CableInferencePipeline(
             internet.network, isp, fleet,
-            sweep_vps=_scaled(spec.sweep_vps, fidelity, floor=2),
+            sweep_vps=_scaled(spec.sweep_vps, fidelity),
             faults=plan,
             checkpoint_path=checkpoint_path,
             resume=True,

@@ -39,7 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError, ServiceError
-from repro.obs import sha256_bytes, sha256_text
+from repro.obs import sha256_bytes
 from repro.service.diff import load_job_corpus, topology_diff
 from repro.service.store import JobStore
 from repro.validate.schema import ARTIFACT_VERSIONS
@@ -156,10 +156,7 @@ class ServiceAPI:
             return _error(502, f"artifact {name} unreadable: {exc}")
         # Content addressing is the contract: bytes that do not hash to
         # the journaled digest are upstream corruption, refused loudly.
-        if name.endswith(".npz"):
-            digest = sha256_bytes(data)
-        else:
-            digest = sha256_text(data.decode("utf-8", errors="replace"))
+        digest = sha256_bytes(data)
         if digest != meta["sha256"]:
             return _error(
                 502,

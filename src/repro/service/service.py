@@ -59,8 +59,8 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.io.atomic import atomic_write_text
-from repro.obs import MetricsRegistry, Tracer
+from repro.io.atomic import atomic_write_bytes, atomic_write_text
+from repro.obs import MetricsRegistry, Tracer, sha256_bytes
 from repro.service.executor import JobExecutor
 from repro.service.scheduler import Scheduler
 from repro.service.spec import JobSpec, job_spec_from_json
@@ -272,13 +272,11 @@ class CampaignService:
             )
             job_dir = self.store.job_dir(job_id)
             job_dir.mkdir(parents=True, exist_ok=True)
-            text = quarantine_report_to_json(report)
-            atomic_write_text(job_dir / "failure.json", text)
-            from repro.obs import sha256_text
-
+            data = quarantine_report_to_json(report).encode()
+            atomic_write_bytes(job_dir / "failure.json", data)
             artifacts = dict(current.artifacts)
             artifacts["failure.json"] = {
-                "sha256": sha256_text(text), "bytes": len(text),
+                "sha256": sha256_bytes(data), "bytes": len(data),
             }
             self.store.append(
                 "failed", job_id=job_id, reason=reason, error=error,

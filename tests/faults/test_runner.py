@@ -1,6 +1,13 @@
 """CampaignRunner: failover, checkpoint/resume, graceful degradation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
+from interrupts import interrupt_after
 
 from repro.errors import CampaignInterrupted, CheckpointError, MeasurementError
 from repro.faults import FaultInjector, FaultPlan
@@ -118,8 +125,8 @@ class TestCheckpointResume:
         net, _routers, vps = fleet
         net.attach_faults(FaultInjector(self.PLAN))
         checkpoint = CampaignCheckpoint(tmp_path / "camp.json")
-        runner = CampaignRunner(
-            Tracerouter(net), vps, checkpoint=checkpoint, stop_after=5
+        runner = interrupt_after(
+            CampaignRunner(Tracerouter(net), vps, checkpoint=checkpoint), 5
         )
         with pytest.raises(CampaignInterrupted):
             runner.run(_jobs(vps), stage="s")
@@ -137,8 +144,8 @@ class TestCheckpointResume:
         # Kill a second campaign mid-stage...
         net.attach_faults(FaultInjector(self.PLAN))
         checkpoint = CampaignCheckpoint(tmp_path / "camp.json")
-        runner = CampaignRunner(
-            Tracerouter(net), vps, checkpoint=checkpoint, stop_after=5
+        runner = interrupt_after(
+            CampaignRunner(Tracerouter(net), vps, checkpoint=checkpoint), 5
         )
         with pytest.raises(CampaignInterrupted):
             runner.run(_jobs(vps), stage="s")
@@ -161,10 +168,10 @@ class TestCheckpointResume:
         reference = [trace_to_dict(t) for t in self._uninterrupted(net, vps)]
         path = tmp_path / "camp.json"
         net.attach_faults(FaultInjector(self.PLAN))
-        runner = CampaignRunner(
+        runner = interrupt_after(CampaignRunner(
             Tracerouter(net), vps, checkpoint=CampaignCheckpoint(path),
-            checkpoint_every=2, stop_after=5,
-        )
+            checkpoint_every=2,
+        ), 5)
         with pytest.raises(CampaignInterrupted):
             runner.run(_jobs(vps), stage="s")
         whole = path.read_bytes()
@@ -184,15 +191,11 @@ class TestCheckpointResume:
         net, _routers, vps = fleet
         reference = [trace_to_dict(t) for t in self._uninterrupted(net, vps)]
 
-        class CtrlC(CampaignRunner):
-            def _run_trace(self, vp, target, flow_id):
-                if self._executed == 6:
-                    raise KeyboardInterrupt
-                return super()._run_trace(vp, target, flow_id)
-
         path = tmp_path / "camp.json"
         net.attach_faults(FaultInjector(self.PLAN))
-        runner = CtrlC(Tracerouter(net), vps, checkpoint=CampaignCheckpoint(path))
+        runner = interrupt_after(
+            CampaignRunner(Tracerouter(net), vps, checkpoint=CampaignCheckpoint(path)), 6
+        )
         with pytest.raises(CampaignInterrupted, match="interrupted"):
             runner.run(_jobs(vps), stage="s")
         saved = CampaignCheckpoint.load(path)
@@ -259,7 +262,8 @@ class TestOpen:
 
         # No file yet: a fresh campaign, cut after a VP has died.
         path = tmp_path / "camp.json"
-        cut, jobs = self._open(path, workers, stop_after=12)
+        cut, jobs = self._open(path, workers)
+        interrupt_after(cut, 12)
         assert not cut.health.resumed
         with pytest.raises(CampaignInterrupted):
             cut.run(jobs, stage="s")
@@ -278,3 +282,66 @@ class TestOpen:
         assert [trace_to_dict(t) for t in complete.run(jobs, stage="s")] == expected
         assert complete.tracer.traces_run == 0
         assert complete.health.workers_spawned == resumed.health.workers_spawned
+
+
+class TestSigterm:
+    """SIGTERM stops a serial campaign the way Ctrl-C does."""
+
+    #: A serial toy campaign whose ``_run_trace`` sends SIGTERM to its
+    #: own process once it has run ``argv[2]`` traces.
+    CHILD = textwrap.dedent("""
+        import os, signal, sys, time
+        from repro.errors import CampaignInterrupted
+        from repro.io.checkpoint import CampaignCheckpoint
+        from repro.measure.runner import CampaignRunner
+        from repro.measure.substrates import toy_substrate
+
+        tracer, vps = toy_substrate(hosts=3)
+        runner = CampaignRunner(
+            tracer, list(vps.values()), checkpoint=CampaignCheckpoint(sys.argv[1])
+        )
+        run_trace = runner._run_trace
+        ran = 0
+
+        def terminated(vp, target, flow_id):
+            global ran
+            if ran == int(sys.argv[2]):
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(60)
+            ran += 1
+            return run_trace(vp, target, flow_id)
+
+        runner._run_trace = terminated
+        jobs = [(vp, f"198.18.5.{i}") for vp in vps.values() for i in range(1, 11)]
+        try:
+            runner.run(jobs, stage="s")
+        except CampaignInterrupted as exc:
+            print(f"CampaignInterrupted: {exc}")
+            sys.exit(3)
+    """)
+
+    def test_sigterm_saves_the_finished_jobs_and_resumes(self, tmp_path):
+        path = tmp_path / "camp.json"
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(path), "7"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 3, (child.returncode, child.stderr)
+        assert child.stdout.startswith("CampaignInterrupted: campaign interrupted")
+
+        tracer, vps = toy_substrate(hosts=3)
+        jobs = _jobs(list(vps.values()), TestOpen.TARGETS)
+        saved = CampaignCheckpoint.load(path)
+        assert saved.stage_done("s") == {(vp.name, t) for vp, t in jobs[:7]}
+        assert saved.health["interrupted"] is True
+
+        resumed = CampaignRunner.open(tracer, list(vps.values()), path, resume=True)
+        traces = resumed.run(jobs, stage="s")
+        reference_tracer, reference_vps = toy_substrate(hosts=3)
+        reference = CampaignRunner(reference_tracer, list(reference_vps.values())).run(
+            _jobs(list(reference_vps.values()), TestOpen.TARGETS), stage="s"
+        )
+        assert [trace_to_dict(t) for t in traces] == [trace_to_dict(t) for t in reference]
+        assert resumed.tracer.traces_run == len(jobs) - 7

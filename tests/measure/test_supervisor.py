@@ -14,8 +14,9 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from interrupts import interrupt_after
 
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, MeasurementError
 from repro.faults import FaultInjector, FaultPlan, FaultStats
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
@@ -59,9 +60,12 @@ def _substrate(plan_kwargs=None):
     return tracer, vps
 
 
-def _serial(plan_kwargs=None, **kwargs):
+def _serial(plan_kwargs=None, interrupt=None, **kwargs):
+    """The serial run; *interrupt* is a trace count to Ctrl-C after."""
     tracer, vps = _substrate(plan_kwargs)
     runner = CampaignRunner(tracer, list(vps.values()), **kwargs)
+    if interrupt is not None:
+        interrupt_after(runner, interrupt)
     return _corpus(runner.run(_jobs(vps), stage="s")), runner
 
 
@@ -69,12 +73,14 @@ def _serial_corpus(plan_kwargs=None):
     return _serial(plan_kwargs)[0]
 
 
-def _supervised(plan_kwargs=None, checkpoint=None, workers=2, **kwargs):
+def _supervised(plan_kwargs=None, checkpoint=None, workers=2, interrupt=None, **kwargs):
     tracer, vps = _substrate(plan_kwargs)
     runner = SupervisedCampaignRunner(
         tracer, list(vps.values()), worker_spec=SPEC, checkpoint=checkpoint,
         workers=workers, shard_size=10, **kwargs,
     )
+    if interrupt is not None:
+        interrupt_after(runner, interrupt)
     traces = runner.run(_jobs(vps), stage="s")
     return _corpus(traces), runner
 
@@ -396,6 +402,23 @@ class TestPumpLiveness:
         assert list(outcomes.values()) == ["done"] * 4
 
 
+    def test_a_paced_trace_longer_than_the_heartbeat_timeout_is_not_a_stall(self):
+        # A worker reports only between traces, and each paced trace
+        # here outlasts heartbeat_timeout: the bound allows one trace.
+        tracer, vps = toy_substrate(hosts=3)
+        serial = CampaignRunner(tracer, list(vps.values()))
+        reference = _corpus(serial.run(_jobs(vps)[:4], stage="s"))
+        tracer, vps = toy_substrate(hosts=3)
+        tracer.pace_ms = 400.0
+        runner = SupervisedCampaignRunner(
+            tracer, list(vps.values()), worker_spec=SPEC, workers=1,
+            shard_size=2, heartbeat_timeout=0.3,
+        )
+        assert _corpus(runner.run(_jobs(vps)[:4], stage="s")) == reference
+        assert runner.health.workers_stalled == 0
+        assert runner.health.shards_poisoned == 0
+
+
 class TestPoisonQuarantine:
     def test_exhausted_retries_quarantine_the_shard(self):
         corpus, runner = _supervised(
@@ -476,7 +499,7 @@ class TestCheckpointResume:
         path = tmp_path / "camp.json"
         with pytest.raises(CampaignInterrupted):
             _supervised(self.PLAN, checkpoint=CampaignCheckpoint(path),
-                        stop_after=5)
+                        interrupt=5)
         corpus, resumed = self._resume(path)
         assert corpus == _serial_corpus(self.PLAN)
         assert resumed.health.resumed
@@ -487,7 +510,7 @@ class TestCheckpointResume:
         path = tmp_path / "camp.json"
         with pytest.raises(CampaignInterrupted):
             _serial(self.PLAN, checkpoint=CampaignCheckpoint(path),
-                    stop_after=5)
+                    interrupt=5)
         corpus, resumed = self._resume(path)
         assert corpus == _serial_corpus(self.PLAN)
         assert resumed.health.resumed
@@ -512,6 +535,12 @@ class TestValidation:
         with pytest.raises(Exception, match="not importable"):
             WorkerSpec("repro.not.a.module:factory")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_no_workers_is_refused_at_construction(self, workers):
+        tracer, vps = toy_substrate(hosts=3)
+        with pytest.raises(MeasurementError, match=f"supervised workers must be at least 1, got {workers}"):
+            SupervisedCampaignRunner(tracer, list(vps.values()), worker_spec=SPEC, workers=workers)
+
 
 class TestGracefulShutdown:
     """Ctrl-C / SIGTERM must checkpoint and leak nothing."""
@@ -535,7 +564,7 @@ class TestGracefulShutdown:
 
         def interrupting_wait(conns, timeout=None):
             # Ctrl-C lands in the pump, once the replay is under way.
-            if runner._executed >= 15:
+            if runner.tracer.traces_run >= 15:
                 raise KeyboardInterrupt
             return real_wait(conns, timeout=timeout)
 

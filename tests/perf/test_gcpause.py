@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 
 import pytest
+from interrupts import interrupt_after
 
 from repro.errors import CampaignInterrupted
 from repro.measure import supervisor
@@ -89,7 +90,7 @@ def test_an_interrupted_stage_restores_the_collector_state(enabled):
     (gc.enable if enabled else gc.disable)()
     try:
         tracer, vps, jobs = toy_jobs()
-        runner = CampaignRunner(tracer, vps, stop_after=3)
+        runner = interrupt_after(CampaignRunner(tracer, vps), 3)
         with pytest.raises(CampaignInterrupted):
             runner.run(jobs, stage="campaign")
         assert gc.isenabled() is enabled

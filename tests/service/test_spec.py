@@ -1,8 +1,11 @@
 """JobSpec: validation, content addressing, fidelity ladder."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ServiceError
+from repro.service.executor import JobExecutor
 from repro.service.spec import (
     FIDELITY_LEVELS,
     JobSpec,
@@ -105,3 +108,36 @@ class TestFidelityLadder:
 
     def test_ladder_order(self):
         assert FIDELITY_LEVELS == ("full", "reduced", "minimal")
+
+
+class TestOneCampaignPerJobId:
+    def test_full_fidelity_hands_the_pipeline_the_spec_sweep_vps(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.infer.pipeline as pipeline_module
+        import repro.measure.substrates as substrates
+
+        class Built(Exception):
+            """Stops the attempt once the pipeline is built: nothing probes."""
+
+        handed = []
+
+        def pipeline(network, isp, fleet, sweep_vps, **options):
+            handed.append(sweep_vps)
+            raise Built
+
+        monkeypatch.setattr(pipeline_module, "CableInferencePipeline", pipeline)
+        monkeypatch.setattr(
+            substrates, "cable_campaign",
+            lambda seed: (SimpleNamespace(network=None, charter=object()), [], None),
+        )
+        executor = JobExecutor(tmp_path / "jobs")
+        ids = set()
+        for sweep_vps in (1, 2):
+            spec = JobSpec(pipeline="map-cable", isp="charter", sweep_vps=sweep_vps)
+            ids.add(job_id_for(spec))
+            with pytest.raises(Built):
+                executor.execute(job_id_for(spec), spec, "full", attempt=1,
+                                 stage_dir=tmp_path / "stage")
+        assert handed == [1, 2]
+        assert len(ids) == 2

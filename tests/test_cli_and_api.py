@@ -231,7 +231,7 @@ class TestUnhonourableConfigRefused:
         (["--sweep-vps", "0"], "sweep_vps 0 is outside 1.."),
         (["--sweep-vps", "999"], "sweep_vps 999 is outside 1.."),
         (["--attempts", "0"], "attempts must be at least 1, got 0"),
-        (["--workers", "-1"], "workers must be 0 or more, got -1"),
+        (["--workers", "-1"], "supervised workers must be at least 1, got -1"),
         (["--min-vps", "0"], "min_vps must be at least 1, got 0"),
         (["--checkpoint", "a", "--resume", "b"], "--checkpoint a and --resume b name two files"),
     ], ids=["faults-above-1", "min-vps-above-fleet", "worker-chaos-serial",
