@@ -127,7 +127,7 @@ def cmd_map_cable(args) -> int:
     if args.profile:
         from repro.obs import phase_report
 
-        for line in phase_report(pipeline.obs):
+        for line in phase_report(pipeline.obs, pipeline.gc_activity):
             print(line)
     if args.trace_out:
         path = atomic_write_text(pathlib.Path(args.trace_out),

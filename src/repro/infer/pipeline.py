@@ -37,6 +37,7 @@ from repro.measure.vantage import VantagePoint
 from repro.net.network import Network
 from repro.obs import MetricsRegistry, Tracer
 from repro.perf import InferenceCache
+from repro.perf.gcpause import GcActivity, campaign_scope
 from repro.rdns.regexes import HostnameParser
 from repro.topology.isp import (
     regional_co_addresses,
@@ -169,6 +170,9 @@ class CableInferencePipeline:
         self.corpus_format = corpus_format
         self.obs = Tracer(seed=trace_seed)
         self.metrics = MetricsRegistry()
+        #: The cyclic collections of the last ``run``, for ``--profile``
+        #: only: their counts and seconds are not deterministic.
+        self.gc_activity: "GcActivity | None" = None
         self._rdns_targets_memo: "tuple[int, list[str]] | None" = None
 
     # ------------------------------------------------------------------
@@ -324,7 +328,17 @@ class CableInferencePipeline:
         mapper and extractor read, exactly where real stale PTR records
         live.  Fault-free plans are unaffected — no phase-2 code path
         consults any other injector hook.
+
+        The whole run is one :func:`~repro.perf.gcpause.campaign_scope`:
+        each stage freezes what it built, so the cyclic collector never
+        rescans the campaign's traces, and the run's end unfreezes them,
+        on return and on raise alike.  ``gc_activity`` then holds the
+        collections the run saw.
         """
+        with campaign_scope() as self.gc_activity:
+            return self._run()
+
+    def _run(self) -> CableInferenceResult:
         guard = self._guard
         obs = self.obs
         with self._fault_context():

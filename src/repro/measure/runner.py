@@ -373,7 +373,10 @@ class CampaignRunner:
 
         Automatic cyclic collection is paused while the stage runs: its
         traces are acyclic and outlive the stage, so a collection would
-        rescan them all and free nothing.
+        rescan them all and free nothing.  Inside a campaign scope (a
+        pipeline's run) the stage also freezes what it built before the
+        collector comes back on; the scope's end unfreezes it
+        (:mod:`repro.perf.gcpause`).
         """
         previous = None
         if threading.current_thread() is threading.main_thread():

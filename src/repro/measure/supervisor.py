@@ -66,7 +66,7 @@ from repro.measure.traceroute import (
     trace_to_row,
 )
 from repro.measure.vantage import VantagePoint
-from repro.perf.gcpause import gc_paused
+from repro.perf.gcpause import campaign_scope, gc_paused
 
 #: How long a stall-injected worker sleeps: effectively forever — the
 #: supervisor's heartbeat timeout is what ends it.
@@ -166,45 +166,50 @@ def _worker_main(conn, spec, plan_payload, tracer_config, heartbeat_interval):
     Supervisor → worker: ``("shard", Shard, attempt)`` and
     ``("stop",)``.  A worker whose supervisor is gone (a closed pipe on
     any send or receive) returns quietly.
+
+    The worker's life is one campaign scope: its first shard's pause
+    freezes the substrate and its route trees, so no later collection
+    rescans them.
     """
     tracer, vps = spec.build()
-    tracer.max_ttl = tracer_config["max_ttl"]
-    tracer.jitter_ms = tracer_config["jitter_ms"]
-    tracer.attempts = tracer_config["attempts"]
-    tracer.backoff_ms = tracer_config["backoff_ms"]
-    tracer.pace_ms = tracer_config.get("pace_ms", 0.0)
-    plan = None
-    # Without a fault plan nothing moves the fault counts: every cost
-    # record carries zeros for them.
-    stats = FaultStats()
-    if plan_payload is not None:
-        plan = FaultPlan.from_dict(plan_payload)
-        injector = FaultInjector(plan)
-        tracer.network.attach_faults(injector)
-        stats = injector.stats
-    try:
-        conn.send(("ready",))
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            _, shard, attempt = message
-            try:
-                with gc_paused():
-                    results, slow = _run_shard(
-                        conn, tracer, vps, stats, plan, shard, attempt,
-                        heartbeat_interval,
+    with campaign_scope():
+        tracer.max_ttl = tracer_config["max_ttl"]
+        tracer.jitter_ms = tracer_config["jitter_ms"]
+        tracer.attempts = tracer_config["attempts"]
+        tracer.backoff_ms = tracer_config["backoff_ms"]
+        tracer.pace_ms = tracer_config.get("pace_ms", 0.0)
+        plan = None
+        # Without a fault plan nothing moves the fault counts: every cost
+        # record carries zeros for them.
+        stats = FaultStats()
+        if plan_payload is not None:
+            plan = FaultPlan.from_dict(plan_payload)
+            injector = FaultInjector(plan)
+            tracer.network.attach_faults(injector)
+            stats = injector.stats
+        try:
+            conn.send(("ready",))
+            while True:
+                message = conn.recv()
+                if message[0] == "stop":
+                    return
+                _, shard, attempt = message
+                try:
+                    with gc_paused():
+                        results, slow = _run_shard(
+                            conn, tracer, vps, stats, plan, shard, attempt,
+                            heartbeat_interval,
+                        )
+                except Exception as exc:  # noqa: BLE001 - reported to supervisor
+                    conn.send(
+                        ("error", shard.shard_id, attempt,
+                         f"{type(exc).__name__}: {exc}")
                     )
-            except Exception as exc:  # noqa: BLE001 - reported to supervisor
-                conn.send(
-                    ("error", shard.shard_id, attempt,
-                     f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            conn.send(("done", shard.shard_id, attempt, results, slow))
-    except (BrokenPipeError, EOFError, OSError):
-        # The supervisor is gone: nobody is left to report to.
-        return
+                    continue
+                conn.send(("done", shard.shard_id, attempt, results, slow))
+        except (BrokenPipeError, EOFError, OSError):
+            # The supervisor is gone: nobody is left to report to.
+            return
 
 
 class _Worker:

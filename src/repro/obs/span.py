@@ -176,9 +176,11 @@ class Tracer:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def phase_report(tracer: Tracer) -> "list[str]":
+def phase_report(tracer: Tracer, gc_activity=None) -> "list[str]":
     """The ``--profile`` lines: each top-level phase's wall-clock time
-    and share, then the total and this process's peak RSS.
+    and share, then the total and this process's peak RSS, then, given
+    the run's :class:`~repro.perf.gcpause.GcActivity`, its cyclic
+    collections per generation and their seconds.
 
     ``ru_maxrss`` is KiB on Linux and bytes on macOS; it is monotone
     over the process lifetime.
@@ -197,4 +199,7 @@ def phase_report(tracer: Tracer) -> "list[str]":
     if sys.platform == "darwin":
         peak_kb /= 1024
     lines.append(f"{'peak rss':<16} {peak_kb / 1024.0:8.1f} MiB")
+    if gc_activity is not None:
+        gen0, gen1, gen2 = gc_activity.collections
+        lines.append(f"{'cyclic gc':<16} {gc_activity.seconds:8.3f}s  gen0 {gen0} / gen1 {gen1} / gen2 {gen2}")
     return lines

@@ -143,6 +143,18 @@ class TestViews:
             assert seconds[name] == pytest.approx(total, abs=1e-3)
         assert lines[-1].startswith("peak rss") and lines[-1].endswith("MiB")
 
+    def test_phase_report_ends_with_the_cyclic_collections_when_given(self):
+        from repro.perf.gcpause import GcActivity
+
+        tracer = Tracer(seed=0)
+        _sample_run(tracer)
+        activity = GcActivity()
+        activity.collections = [83, 1, 0]
+        activity.seconds = 0.0125
+        lines = phase_report(tracer, activity)
+        assert [line.split()[0] for line in lines] == ["collect", "refine", "total", "peak", "cyclic"]
+        assert lines[-1] == "cyclic gc           0.013s  gen0 83 / gen1 1 / gen2 0"
+
     def test_stage_summaries_count_descendants(self):
         tracer = Tracer()
         _sample_run(tracer)

@@ -271,9 +271,9 @@ class TestProfileReport:
         assert main(["map-cable", "charter", "--sweep-vps", "1", "--profile"]) == 0
         lines = capsys.readouterr().out.splitlines()
         start = next(i for i, line in enumerate(lines) if line.startswith("collect "))
-        report = lines[start:start + 8]
+        report = lines[start:start + 9]
         assert [line.split()[0] for line in report] == [
-            "collect", "aliases", "ip2co", "adjacency", "refine", "entries", "total", "peak",
+            "collect", "aliases", "ip2co", "adjacency", "refine", "entries", "total", "peak", "cyclic",
         ]
         for line in report[:6]:
             seconds, share = line.split()[1:]
@@ -281,3 +281,8 @@ class TestProfileReport:
         phases = sum(float(line.split()[1].rstrip("s")) for line in report[:6])
         assert float(report[6].split()[1].rstrip("s")) == pytest.approx(phases, abs=0.01)
         assert report[7].startswith("peak rss") and report[7].endswith(" MiB")
+        # Collections per generation during the run, and their seconds.
+        fields = report[8].split()
+        assert fields[:2] == ["cyclic", "gc"] and fields[2].endswith("s")
+        assert fields[3::3] == ["gen0", "gen1", "gen2"]
+        assert all(count.isdigit() for count in fields[4::3])
